@@ -172,8 +172,8 @@ def _depth_query_worker(
     """One-shot base or step query at depth ``k`` (pool worker body).
 
     Rebuilds the circuit from the ITC99 registry by ``case`` name so the
-    task description stays picklable and tiny (spawn workers re-import
-    this module).
+    task description stays picklable and tiny (pool workers unpickle
+    this function by reference).
     """
     from repro.itc99 import CIRCUITS, circuit as get_circuit
 

@@ -4,7 +4,7 @@
 ``dist-2h`` bench engines call): it generates cubes exactly like
 :func:`repro.portfolio.solve.solve_portfolio`, starts a
 :class:`~repro.dist.hub.CubeHub` on a UNIX socket, launches ``hosts``
-worker-host processes against it (each spawning ``jobs`` local solver
+worker-host processes against it (each starting ``jobs`` local solver
 workers), and interprets the hub's verdict as a
 :class:`~repro.core.result.SolverResult` — including the mandatory
 simulator replay of any SAT model, which must never be weaker in the
@@ -13,18 +13,21 @@ distributed path than in the local one.
 On a real deployment the hub and the hosts live on different machines
 (see ``docs/distributed.md``); this driver is the single-machine
 harness the benchmarks and tests use, so host processes are
-``multiprocessing`` children rather than SSH sessions — the wire
-protocol between them is byte-identical either way.
+``multiprocessing`` children (forked from the preloaded fork server in
+:mod:`repro.procs`) rather than SSH sessions — the wire protocol
+between them is byte-identical either way.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import shutil
 import tempfile
 import time
 from typing import Optional, Tuple
 
+from repro import procs
 from repro.core.config import SolverConfig
 from repro.core.result import SolverResult, SolverStats, Status
 from repro.dist.hub import CubeHub, DistError, DistResult
@@ -50,7 +53,7 @@ def _host_main(
     log_level: Optional[str],
     crash_cubes: Tuple[int, ...] = (),
 ) -> None:
-    """Worker-host process entry point (spawn target)."""
+    """Worker-host process entry point (``Process`` target)."""
     if log_level:
         from repro.obs import configure_logging
 
@@ -86,8 +89,6 @@ def solve_dist(
     soon as they take a cube — the hub must requeue their cubes onto
     the surviving hosts without changing the verdict.
     """
-    import multiprocessing
-
     base_config = base_config or SolverConfig()
     hosts = max(1, hosts)
     jobs = max(1, jobs)
@@ -186,13 +187,13 @@ def solve_dist(
     )
     tmpdir = tempfile.mkdtemp(prefix="repro-dist-")
     socket_path = os.path.join(tmpdir, "hub.sock")
-    context = multiprocessing.get_context("spawn")
     processes = []
     try:
         address = hub.start(unix_path=socket_path)
         from repro.obs import effective_level_spec
 
         level_spec = effective_level_spec()
+        context = procs.context()
         for index in range(hosts):
             crash = (
                 tuple(range(len(cubes))) if index < crash_hosts else ()
@@ -206,7 +207,7 @@ def solve_dist(
                     level_spec,
                     crash,
                 ),
-                # NOT daemonic: hosts spawn their own worker children.
+                # NOT daemonic: hosts start their own worker children.
                 daemon=False,
                 name=f"dist-host-{index}",
             )
@@ -235,15 +236,8 @@ def solve_dist(
         hub.close()
         stop_deadline = time.monotonic() + 2.0
         for process in processes:
-            process.join(
-                timeout=max(0.0, stop_deadline - time.monotonic())
+            procs.terminate_then_kill(
+                process, wait=max(0.0, stop_deadline - time.monotonic())
             )
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        try:
-            os.unlink(socket_path)
-            os.rmdir(tmpdir)
-        except OSError:
-            pass
+        shutil.rmtree(tmpdir, ignore_errors=True)
     return finalize(dist_result)

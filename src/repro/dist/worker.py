@@ -1,7 +1,7 @@
 """Distributed worker host: local portfolio workers fed from a hub.
 
 One worker host connects to a :class:`~repro.dist.hub.CubeHub`,
-introduces itself (``hello``), and spawns ``jobs`` local solver
+introduces itself (``hello``), and starts ``jobs`` local solver
 processes — exactly the processes the in-process portfolio pool uses
 (:func:`repro.portfolio.worker.portfolio_worker`), diversified by their
 *global* worker index (the hub assigns each host a base index so
@@ -34,6 +34,7 @@ import time
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Tuple
 
+from repro import procs
 from repro.core.config import SolverConfig
 from repro.dist.hub import DistError
 from repro.obs import effective_level_spec
@@ -130,8 +131,6 @@ def run_worker_host(
     deterministically on its first assignment, which is how the requeue
     path is exercised end to end.
     """
-    import multiprocessing
-
     jobs = max(1, jobs)
     client = HubClient(address)
     summary = {"cubes_solved": 0, "clauses_uploaded": 0, "requeues": 0}
@@ -156,7 +155,7 @@ def run_worker_host(
         # capped low so a busy host still notices ``stop`` quickly.
         heartbeat_s = max(0.5, min(2.0, lease_s / 3.0))
 
-        context = multiprocessing.get_context("spawn")
+        context = procs.context()
         level_spec = effective_level_spec()
         for index in range(jobs):
             parent_conn, child_conn = context.Pipe(duplex=True)
@@ -372,12 +371,11 @@ def _stop_children(children: List[_Child]) -> None:
             pass
     deadline = time.monotonic() + _STOP_GRACE
     for child in children:
-        child.process.join(
-            timeout=max(0.0, deadline - time.monotonic())
+        procs.terminate_then_kill(
+            child.process,
+            _STOP_GRACE,
+            wait=max(0.0, deadline - time.monotonic()),
         )
-        if child.process.is_alive():
-            child.process.terminate()
-            child.process.join(timeout=_STOP_GRACE)
         try:
             child.conn.close()
         except OSError:

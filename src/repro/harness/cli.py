@@ -18,8 +18,8 @@ Subcommands::
     repro-hdpll list
 
 Global options: ``--log-level debug`` (or ``REPRO_LOG=debug``) wires the
-library's ``repro`` logger to stderr (and is inherited by spawned
-workers); ``--telemetry-dir DIR`` gives multi-process commands
+library's ``repro`` logger to stderr (and is inherited by worker
+processes); ``--telemetry-dir DIR`` gives multi-process commands
 (``bench``, ``solve --portfolio``) per-worker trace/metrics shards that
 are merged into one clock-aligned timeline — inspect it afterwards with
 ``report`` (post-mortem) or ``top`` (live tail).

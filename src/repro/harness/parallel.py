@@ -2,8 +2,8 @@
 
 Every experiment surface (tables, bench profiles, the differential
 test) executes ``(engine, instance, config)`` tasks.  This module runs
-such tasks across worker *processes* (``multiprocessing`` spawn
-context) so that
+such tasks across worker *processes* (started by
+:func:`repro.procs.context`) so that
 
 * a worker that overruns its **hard wall-clock deadline** is killed and
   recorded as a timeout (``-to-``) instead of hanging the harness,
@@ -30,19 +30,18 @@ trace/log file path (see :func:`run_engine_tasks`'s ``worker_dir``), so
 the PR 2 observability stack keeps working when runs overlap — one
 JSONL trace and one log file per task, never a shared descriptor.
 
-Spawn caveat: worker processes re-import the parent's ``__main__``, so
-``jobs > 1`` requires a driver that is importable — a real script file
-(with the usual ``if __name__ == "__main__"`` guard) or ``python -m``.
-Driving the pool from stdin or a bare REPL makes every worker die on
-re-import; the pool degrades gracefully (``-A-`` records, no hang) but
-nothing runs in parallel.
+``__main__`` caveat: worker processes re-import the parent's
+``__main__``, so ``jobs > 1`` requires an importable main module — a
+real script file (with the usual ``if __name__ == "__main__"`` guard)
+or ``python -m``.  Driving the pool from stdin or a bare REPL makes
+every worker die on re-import; the pool degrades gracefully (``-A-``
+records, no hang) but nothing runs in parallel.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -50,6 +49,7 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import procs
 from repro.harness.runner import RunRecord, run_engine
 
 logger = logging.getLogger(__name__)
@@ -64,12 +64,6 @@ HARD_TIMEOUT_GRACE = 5.0
 #: Seconds before a crashed task's single retry is launched.
 RETRY_BACKOFF = 0.25
 
-#: Grace between SIGTERM and SIGKILL at the hard deadline.  The TERM
-#: gives the worker's flight-recorder signal handler (see
-#: ``repro.obs.telemetry.install_crash_dump_handler``) a chance to dump
-#: its ring before the unconditional kill.
-TERM_GRACE = 1.0
-
 #: Scheduler poll interval while workers are running.
 _POLL_INTERVAL = 0.05
 
@@ -78,8 +72,8 @@ _POLL_INTERVAL = 0.05
 class Task:
     """One unit of pool work: a picklable call returning a result.
 
-    ``fn`` must be an importable module-level callable (spawn workers
-    re-import it by reference).  ``timeout`` is the *cooperative*
+    ``fn`` must be an importable module-level callable (workers
+    unpickle it by reference).  ``timeout`` is the *cooperative*
     budget the callee itself honours; the pool derives the hard kill
     deadline from it unless ``hard_timeout`` overrides it.
     """
@@ -152,20 +146,6 @@ class _Running:
         return self.task.label or self.task.fn.__name__
 
 
-def _terminate_then_kill(process, grace: float = TERM_GRACE) -> None:
-    """Stop a worker: SIGTERM, a short grace, then SIGKILL.
-
-    Used at the hard deadline (where a postmortem flight dump is worth
-    one second of patience); intentional cancellations still kill
-    outright.
-    """
-    process.terminate()
-    process.join(grace)
-    if process.is_alive():
-        process.kill()
-    process.join()
-
-
 def _cancelled_outcome(index: int, task: Task) -> TaskOutcome:
     return TaskOutcome(
         index=index,
@@ -216,7 +196,7 @@ def run_tasks(
     jobs: int = 1,
     stop_when: Optional[Callable[[TaskOutcome], bool]] = None,
 ) -> List[TaskOutcome]:
-    """Run tasks with up to ``jobs`` concurrent spawn workers.
+    """Run tasks with up to ``jobs`` concurrent worker processes.
 
     Returns one :class:`TaskOutcome` per task **in submission order**
     regardless of completion order.  ``jobs <= 1`` runs inline.
@@ -231,7 +211,7 @@ def run_tasks(
     if jobs <= 1 or not tasks:
         return _run_inline(tasks, stop_when=stop_when)
 
-    ctx = multiprocessing.get_context("spawn")
+    ctx = procs.context()
     outcomes: Dict[int, TaskOutcome] = {}
     decided = False
     #: (index, task, attempt, not_before) — crashed tasks awaiting retry.
@@ -368,7 +348,9 @@ def run_tasks(
                 if limit is not None and now - entry.started > limit:
                     overran.append(entry)
             for entry in overran:
-                _terminate_then_kill(entry.process)
+                # SIGTERM first: a postmortem flight dump is worth one
+                # second of patience.  Cancellations kill outright.
+                procs.terminate_then_kill(entry.process)
                 entry.conn.close()
                 running.remove(entry)
                 elapsed = time.monotonic() - entry.started
@@ -402,7 +384,7 @@ class EngineTask:
     """One ``run_engine`` call, fully described by picklable fields.
 
     The worker rebuilds the instance from ``(case, bound)`` via the
-    ITC99 registry rather than shipping a pickled circuit, so spawn
+    ITC99 registry rather than shipping a pickled circuit, so worker
     startup stays cheap and the task description stays tiny.
     """
 
@@ -442,7 +424,7 @@ def _engine_worker(task: EngineTask) -> RunRecord:
     from repro.itc99 import instance
     from repro.obs import configure_logging
 
-    # Cold interning cache per task: a spawned worker starts cold, so
+    # Cold interning cache per task: a worker process starts cold, so
     # the inline path must too or cache-hit-rate stats would depend on
     # execution mode and task order.
     reset_interval_cache()
@@ -574,9 +556,9 @@ def run_engine_tasks(
     from repro.obs import effective_level_spec
 
     specs = list(specs)
-    # Log-config inheritance: spawn workers re-import from scratch and
-    # never see the parent's --log-level/REPRO_LOG; ship the effective
-    # spec into every task that does not pin its own.
+    # Log-config inheritance: workers start from an unconfigured
+    # interpreter and never see the parent's --log-level/REPRO_LOG;
+    # ship the effective spec into every task that does not pin its own.
     level_spec = effective_level_spec()
     if level_spec:
         specs = [

@@ -25,8 +25,9 @@ ENV_VAR = "REPRO_LOG"
 _FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 
 #: The level spec most recently applied by :func:`configure_logging`.
-#: Spawn-context workers start from a fresh interpreter, so the parent
-#: must re-ship this explicitly (see :func:`effective_level_spec`).
+#: Worker processes start from an interpreter that never ran
+#: :func:`configure_logging` (a fork server or a fresh ``spawn``), so the
+#: parent must re-ship this explicitly (see :func:`effective_level_spec`).
 _configured_spec: Optional[str] = None
 
 
@@ -71,10 +72,11 @@ def configure_logging(
 
 
 def effective_level_spec() -> Optional[str]:
-    """The log-level spec a spawned worker should inherit.
+    """The log-level spec a worker process should inherit.
 
     ``--log-level`` historically configured only the parent process:
-    spawn-context children re-import everything and never saw it.  The
+    worker processes start from an unconfigured interpreter (see
+    :mod:`repro.procs`) and never saw it.  The
     pool and portfolio masters call this to ship the parent's effective
     spec (explicitly configured level, else ``$REPRO_LOG``) into each
     worker's ``configure_logging`` call.

@@ -2,14 +2,14 @@
 
 PR 2's tracing/metrics/profiling stack is strictly single-process;
 every serious workload since (the crash-isolated bench pool, the
-cube-and-conquer portfolio, the engine-impl matrix) spans many spawned
-workers whose clocks do not share an epoch.  This module closes that
+cube-and-conquer portfolio, the engine-impl matrix) spans many worker
+processes whose clocks do not share an epoch.  This module closes that
 gap:
 
 * :class:`TelemetryHub` — the parent side.  Owns a telemetry
   directory, records its ``time.perf_counter()`` **epoch** at
   construction, and mints one picklable :class:`TelemetryConfig` per
-  spawned worker.
+  worker process.
 * :class:`WorkerTelemetry` — the child side.  Opened from a config
   inside the worker process, it performs the clock-offset handshake
   (its own ``perf_counter`` minus the parent epoch — exact on every
@@ -79,10 +79,10 @@ def _safe_id(worker_id: str) -> str:
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Everything a spawned worker needs to open its telemetry shard.
+    """Everything a worker process needs to open its telemetry shard.
 
     Picklable by construction (plain scalars only) — it rides to the
-    worker inside the spawn arguments.  ``parent_perf0`` is the parent
+    worker inside the ``Process`` arguments.  ``parent_perf0`` is the parent
     epoch of the clock-offset handshake.
     """
 

@@ -1,6 +1,7 @@
 """Portfolio master: schedule cubes, relay clauses, survive crashes.
 
-The master owns N spawned workers (duplex pipe each) and a cube list.
+The master owns N worker processes (duplex pipe each, started from the
+preloaded fork server in :mod:`repro.procs`) and a cube list.
 Cube index 0 is conventionally the *root cube* — the whole problem
 with no splitting assumptions — so the portfolio degenerates gracefully
 into a pure diversified race when splitting buys nothing: the first of
@@ -23,12 +24,12 @@ Result semantics (the issue's contract):
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import procs
 from repro.core.config import SolverConfig
 from repro.errors import SolverError
 from repro.obs import effective_level_spec
@@ -129,7 +130,7 @@ def run_pool(
             return base_config.timeout
         return max(0.0, deadline - time.monotonic())
 
-    context = multiprocessing.get_context("spawn")
+    context = procs.context()
     workers: List[_Worker] = []
     share_kwargs = {}
     if share_max_size is not None:
@@ -223,9 +224,7 @@ def run_pool(
             worker.conn.close()
         except Exception:
             pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=_STOP_GRACE)
+        procs.terminate_then_kill(worker.process, _STOP_GRACE)
         for index in sorted(worker.assigned):
             if index in done:
                 continue
@@ -341,12 +340,11 @@ def run_pool(
                 pass
         stop_deadline = time.monotonic() + _STOP_GRACE
         for worker in live.values():
-            worker.process.join(
-                timeout=max(0.0, stop_deadline - time.monotonic())
+            procs.terminate_then_kill(
+                worker.process,
+                _STOP_GRACE,
+                wait=max(0.0, stop_deadline - time.monotonic()),
             )
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=_STOP_GRACE)
             try:
                 worker.conn.close()
             except Exception:

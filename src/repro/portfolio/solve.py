@@ -4,14 +4,15 @@
 call.  It generates cubes (:mod:`repro.portfolio.cubes`), prepends the
 *root cube* (the unsplit problem — index 0), and then either
 
-* fans the cube list out to spawned worker processes
-  (:mod:`repro.portfolio.pool`) with live clause sharing, or
+* fans the cube list out to worker processes forked from the
+  preloaded fork server (:mod:`repro.portfolio.pool`,
+  :mod:`repro.procs`) with live clause sharing, or
 * runs the **deterministic in-process mode**: the same diversified
   configurations as sequential :class:`SolverSession`\\ s with clause
   sharing between cube solves — bit-for-bit reproducible, used by the
   tests and as the automatic fallback when the problem cannot be
   described by a picklable :class:`ProblemSpec` or when the current
-  process is itself a daemonic pool worker (which may not spawn
+  process is itself a daemonic pool worker (which may not start
   children).
 
 Every SAT model — wherever it was found — is replayed through the

@@ -134,7 +134,7 @@ def build_problem(spec: ProblemSpec) -> Tuple[Circuit, Dict[str, int]]:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker process needs, shipped at spawn."""
+    """Everything one worker process needs, shipped when it starts."""
 
     problem: ProblemSpec
     worker_index: int
@@ -155,8 +155,8 @@ class WorkerSpec:
     #: Cross-process telemetry shard config (minted by the master's
     #: TelemetryHub; carries the clock-offset epoch).
     telemetry: Optional["TelemetryConfig"] = None
-    #: Log level inherited from the parent (spawn workers re-import
-    #: from scratch and would otherwise ignore ``--log-level``).
+    #: Log level inherited from the parent (workers start with logging
+    #: unconfigured and would otherwise ignore ``--log-level``).
     log_level: Optional[str] = None
 
 

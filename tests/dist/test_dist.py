@@ -10,10 +10,15 @@ reports at the hub.  Test cost is process startup, not solving.
 
 from __future__ import annotations
 
+import tempfile
+import threading
+
 import pytest
 
+from repro import procs
 from repro.core import SolverConfig, Status
 from repro.dist import solve_dist
+from repro.dist.hub import CubeHub
 
 _TIMEOUT = 120.0
 _CONFIG = SolverConfig(predicate_learning=True)
@@ -52,7 +57,52 @@ def test_dist_unsat_all_cubes():
     assert result.stats.dist_hosts == 1
 
 
-def test_dist_crash_host_requeues_and_verdict_survives():
+class _HeldStart:
+    """A process whose ``start`` waits until ``released`` is set."""
+
+    def __init__(self, process, released):
+        self._process = process
+        self._released = released
+
+    def start(self):
+        assert self._released.wait(60.0), "host 0 never left the hub"
+        self._process.start()
+
+    def __getattr__(self, name):
+        return getattr(self._process, name)
+
+
+class _HoldBackHost1:
+    """Stand-in for :func:`repro.procs.context` whose later hosts start
+    only once ``released`` is set."""
+
+    def __init__(self, context, released):
+        self._context = context
+        self._released = released
+
+    def Process(self, **kwargs):
+        process = self._context.Process(**kwargs)
+        if kwargs["name"] == "dist-host-0":
+            return process
+        return _HeldStart(process, self._released)
+
+
+def test_dist_crash_host_requeues_and_verdict_survives(monkeypatch):
+    """Host 0 dies on its first cube; the hub requeues it and host 1
+    settles the query.  Host 1 starts only after the hub has dropped
+    host 0, so it cannot settle the query before host 0 took a cube."""
+    dropped = threading.Event()
+    drop_host = CubeHub._drop_host
+
+    def drop_and_release(self, host_id, reason):
+        drop_host(self, host_id, reason)
+        dropped.set()
+
+    monkeypatch.setattr(CubeHub, "_drop_host", drop_and_release)
+    context = procs.context()
+    monkeypatch.setattr(
+        procs, "context", lambda: _HoldBackHost1(context, dropped)
+    )
     result = solve_dist(
         "b01_1",
         10,
@@ -70,3 +120,17 @@ def test_dist_crash_host_requeues_and_verdict_survives():
 def test_dist_rejects_unknown_case():
     with pytest.raises(Exception, match="unknown|no such|instance"):
         solve_dist("no_such_case", 5, hosts=1, jobs=1, timeout=5.0)
+
+
+def test_dist_removes_its_temp_dir_when_the_hub_fails_to_start(
+    monkeypatch, tmp_path
+):
+    def fail_to_bind(self, *args, **kwargs):
+        raise OSError("bind failed")
+
+    monkeypatch.setattr(CubeHub, "start", fail_to_bind)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    with pytest.raises(OSError, match="bind failed"):
+        solve_dist("b01_1", 10, hosts=1, jobs=1, timeout=_TIMEOUT)
+    assert not list(tmp_path.glob("repro-dist-*"))

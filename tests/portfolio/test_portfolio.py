@@ -9,16 +9,18 @@ and clause sharing are all behaviourally invisible or they are bugs.
 
 The multi-process pool is exercised separately through its crash
 semantics (requeue once, then fail loudly), which also covers worker
-spawn, the pipe protocol, and result assembly.
+start-up, the pipe protocol, and result assembly.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from typing import List, Sequence
 
 import pytest
 
+from repro import procs
 from repro.bmc import input_trace_from_model, make_bmc_instance
 from repro.core import SolverConfig, Status, solve_circuit
 from repro.core.hdpll import HdpllSolver, luby
@@ -221,6 +223,78 @@ def test_portfolio_stats_and_note_surface():
 # Multi-process pool: crash requeue semantics
 # ----------------------------------------------------------------------
 
+#: Seconds a held-back worker waits for its gate before starting anyway
+#: (the test then fails on its assertions instead of hanging).
+_GATE_TIMEOUT = 60.0
+
+
+def _start_after_exit(pid, target, *args):
+    """Worker target: run ``target`` once process ``pid`` is gone."""
+    deadline = time.monotonic() + _GATE_TIMEOUT
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.01)
+    target(*args)
+
+
+def _start_after_file(path, target, *args):
+    """Worker target: run ``target`` once ``path`` exists."""
+    deadline = time.monotonic() + _GATE_TIMEOUT
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    target(*args)
+
+
+class _FlagFirstCube:
+    """Worker pipe end that creates ``path`` when a cube arrives."""
+
+    def __init__(self, conn, path):
+        self._conn = conn
+        self._path = path
+
+    def recv(self):
+        message = self._conn.recv()
+        if message[0] == "cube":
+            open(self._path, "a").close()
+        return message
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _flag_first_cube(path, target, conn, spec):
+    target(_FlagFirstCube(conn, path), spec)
+
+
+class _HoldBackWorker1:
+    """Stand-in for :func:`repro.procs.context` whose worker 1 waits
+    for worker 0 to pass a gate before it starts.
+
+    ``gate(first, target, args)`` turns worker 1's target and arguments
+    into gated ones (``first`` is worker 0's started process);
+    ``flag(target, args)`` does the same for worker 0.
+    """
+
+    def __init__(self, context, gate, flag=None):
+        self._context = context
+        self._gate = gate
+        self._flag = flag
+        self._started = []
+        self.Pipe = self._context.Pipe
+
+    def Process(self, target, args, **kwargs):
+        if not self._started:
+            if self._flag is not None:
+                target, args = self._flag(target, args)
+        else:
+            target, args = self._gate(self._started[0], target, args)
+        process = self._context.Process(target=target, args=args, **kwargs)
+        self._started.append(process)
+        return process
+
 
 def _crash_problem():
     spec = ProblemSpec("instance", "b01_1", 10)
@@ -230,9 +304,25 @@ def _crash_problem():
     return spec, [Cube(())] + list(report.cubes)
 
 
-def test_crashed_worker_requeues_cube_once():
+def test_crashed_worker_requeues_cube_once(monkeypatch):
     """Worker 0 dies on its first assignment; the cube is requeued and
-    the surviving worker still settles the query."""
+    the surviving worker still settles the query.
+
+    Worker 1 starts only after worker 0 is gone, so it cannot settle
+    the query before worker 0 has taken (and lost) a cube.
+    """
+    context = procs.context()
+    monkeypatch.setattr(
+        procs,
+        "context",
+        lambda: _HoldBackWorker1(
+            context,
+            gate=lambda first, target, args: (
+                _start_after_exit,
+                (first.pid, target) + args,
+            )
+        ),
+    )
     spec, cubes = _crash_problem()
     result = run_pool(
         spec,
@@ -249,7 +339,9 @@ def test_crashed_worker_requeues_cube_once():
     assert replay_model(circuit, result.model, assumptions)
 
 
-def test_duplicate_holder_cancelled_when_cube_decided(tmp_path):
+def test_duplicate_holder_cancelled_when_cube_decided(
+    tmp_path, tmp_path_factory, monkeypatch
+):
     """A worker grinding on an already-decided cube gets a cube-scoped
     cancel and lives on, instead of burning until the pool shuts down.
 
@@ -262,8 +354,27 @@ def test_duplicate_holder_cancelled_when_cube_decided(tmp_path):
     verdict needs *all* of them (no root cube, ``root_index=None``):
     the stalled cubes cannot be bypassed.  The problem is b13_1's
     inductive step at its proving depth — UNSAT, but beyond pure
-    propagation, so cube generation cannot settle it early.
+    propagation, so cube generation cannot settle it early.  Worker 1
+    starts only once worker 0 holds a cube, so it cannot decide every
+    cube before worker 0 has taken one.
     """
+    flag = str(tmp_path_factory.mktemp("gate") / "worker-0-has-a-cube")
+    context = procs.context()
+    monkeypatch.setattr(
+        procs,
+        "context",
+        lambda: _HoldBackWorker1(
+            context,
+            gate=lambda first, target, args: (
+                _start_after_file,
+                (flag, target) + args,
+            ),
+            flag=lambda target, args: (
+                _flag_first_cube,
+                (flag, target) + args,
+            ),
+        ),
+    )
     spec = ProblemSpec("step", "b13_1", 6)
     circuit, assumptions = build_problem(spec)
     report = generate_cubes(circuit, assumptions, depth=1)
