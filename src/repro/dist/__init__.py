@@ -10,13 +10,7 @@ benchmarks use; ``repro-hdpll dist-serve`` / ``dist-work`` are the
 multi-machine CLI (see ``docs/distributed.md``).
 """
 
-from repro.dist.hub import (
-    DEFAULT_LEASE_S,
-    CubeHub,
-    DistError,
-    DistOutcome,
-    DistResult,
-)
+from repro.dist.hub import DEFAULT_LEASE_S, CubeHub, DistError
 from repro.dist.run import solve_dist
 from repro.dist.worker import HubClient, run_worker_host
 
@@ -24,8 +18,6 @@ __all__ = [
     "DEFAULT_LEASE_S",
     "CubeHub",
     "DistError",
-    "DistOutcome",
-    "DistResult",
     "HubClient",
     "run_worker_host",
     "solve_dist",

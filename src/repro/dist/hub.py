@@ -20,13 +20,13 @@ Operations (``op`` selects the handler; all responses carry ``ok``):
                fields plus the solver configuration, so hosts need no
                out-of-band problem distribution.
 ``pull``       request a cube; the response carries ``cube`` (index,
-               assumptions, remaining timeout), ``wait`` (queue empty
-               right now — in-flight cubes may still requeue), or
-               ``stop`` (verdict settled).  Once the queue drains,
-               pulls are handed *duplicates* of the least-covered
-               in-flight cube, mirroring the in-process pool.
+               assumptions, remaining timeout), ``wait`` (nothing for
+               this host right now — in-flight cubes may still
+               requeue), or ``stop`` (verdict settled).
 ``result``     report a cube verdict (first report wins; duplicates
                are dropped).
+``lost``       hand back a cube (``cube``) whose local worker died
+               mid-solve; it is released like a lost host's cube.
 ``clauses``    upload learned-clause payload batches; the hub admits
                them through an LBD filter and relays them to every
                other host.
@@ -35,13 +35,13 @@ Operations (``op`` selects the handler; all responses carry ``ok``):
 
 Every pulled cube carries a *lease*: a deadline renewed by any request
 from the holding host.  A host that goes silent past its lease — or
-whose connection drops — loses its cubes back to the queue (one requeue
-per cube; a cube lost twice fails the solve, exactly like the
-in-process pool's crash policy).
+whose connection drops — loses its cubes back to the queue.
 
-Verdict semantics are the portfolio's: SAT anywhere wins immediately;
-UNSAT requires the root cube UNSAT or every split cube UNSAT; anything
-else is UNKNOWN.
+The hub keeps its cubes in a :class:`~repro.portfolio.ledger.CubeLedger`
+with host ids as holders, under the hub lock; the ledger's docstring
+states the contract (least-covered duplicates, first report wins, the
+verdict rule, requeue once then fail) that this transport shares with
+the in-process pool.
 """
 
 from __future__ import annotations
@@ -50,12 +50,18 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import dataclasses
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import SolverConfig
 from repro.errors import SolverError
 from repro.portfolio.cubes import Cube
+from repro.portfolio.ledger import (
+    SHARE_KEYS,
+    CubeLedger,
+    CubeOutcome,
+    CubeResult,
+)
 from repro.portfolio.share import DEFAULT_MAX_LBD, clause_payload_key
 from repro.portfolio.worker import ProblemSpec
 from repro.serve.protocol import (
@@ -82,40 +88,6 @@ class DistError(SolverError):
     """Unrecoverable distributed-solve failure."""
 
 
-@dataclass
-class DistOutcome:
-    """First accepted verdict for one cube."""
-
-    index: int
-    status: str  # "sat" | "unsat" | "unknown"
-    model: Optional[Dict[str, int]]
-    stats: Dict[str, object]
-    worker: int
-    host: str
-
-
-@dataclass
-class DistResult:
-    """Everything the hub learned, for the driver to interpret."""
-
-    status: str  # "sat" | "unsat" | "unknown"
-    model: Optional[Dict[str, int]] = None
-    winning_cube: Optional[int] = None
-    winning_worker: Optional[int] = None
-    winning_host: Optional[str] = None
-    outcomes: Dict[int, DistOutcome] = field(default_factory=dict)
-    #: Sum over workers of their exporter/importer totals.
-    share_totals: Dict[str, int] = field(default_factory=dict)
-    requeues: int = 0
-    #: Clause payloads admitted by the hub's LBD filter and relayed.
-    clauses_relayed: int = 0
-    hosts_seen: int = 0
-    note: str = ""
-    #: Set when the solve failed structurally (cube lost twice); the
-    #: driver raises :class:`DistError` with this message.
-    failure: Optional[str] = None
-
-
 class _Host:
     __slots__ = (
         "host_id",
@@ -125,7 +97,6 @@ class _Host:
         "clause_cursor",
         "decided_cursor",
         "last_seen",
-        "leases",
     )
 
     def __init__(self, host_id, name, slots, base_index):
@@ -135,11 +106,10 @@ class _Host:
         self.base_index = base_index
         #: Next entry of the hub's clause log to relay to this host.
         self.clause_cursor = 0
-        #: Next entry of the decided-cube log to announce to this host.
+        #: How many decided cubes (in decision order) this host has
+        #: been told about.
         self.decided_cursor = 0
         self.last_seen = time.monotonic()
-        #: Cube indices currently leased to this host.
-        self.leases: Set[int] = set()
 
 
 class CubeHub:
@@ -161,40 +131,31 @@ class CubeHub:
         timeout: Optional[float] = None,
         lease_s: float = DEFAULT_LEASE_S,
         relay_max_lbd: int = DEFAULT_MAX_LBD,
-        share: bool = True,
     ):
         if not cubes:
             raise ValueError("CubeHub needs at least one cube")
         self.problem = problem
         self.cubes = list(cubes)
         self.base_config = base_config or SolverConfig()
-        self.root_index = root_index
         self.lease_s = lease_s
         self.relay_max_lbd = relay_max_lbd
-        self.share = share
         self._deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
         self._timeout = timeout
 
         self._lock = threading.Lock()
-        self._pending: List[int] = list(range(len(self.cubes)))
-        self._done: Dict[int, DistOutcome] = {}
-        self._decided_log: List[int] = []
-        self._retries: Dict[int, int] = {}
+        self._ledger = CubeLedger(len(self.cubes), root_index)
         self._hosts: Dict[str, _Host] = {}
         self._next_host = 0
         self._next_base_index = 0
         #: (owner host_id, payload) log of admitted shared clauses.
         self._clause_log: List[Tuple[str, tuple]] = []
         self._clause_keys: Set[tuple] = set()
-        #: Global worker index -> latest cumulative share totals.
-        self._share_totals: Dict[int, Dict[str, int]] = {}
-        self._requeues = 0
         self._hosts_seen = 0
 
         self._settled = threading.Event()
-        self._result: Optional[DistResult] = None
+        self._result: Optional[CubeResult] = None
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._closing = False
@@ -231,9 +192,9 @@ class CubeHub:
         logger.info("dist hub: listening on %s", self.address)
         return self.address
 
-    def wait(self, timeout: Optional[float] = None) -> Optional[DistResult]:
+    def wait(self, timeout: Optional[float] = None) -> Optional[CubeResult]:
         """Block until the verdict settles; returns the
-        :class:`DistResult`, or ``None`` if ``timeout`` elapsed with the
+        :class:`CubeResult`, or ``None`` if ``timeout`` elapsed with the
         run still undecided (the run keeps going — callers poll)."""
         wait_deadline = (
             time.monotonic() + timeout if timeout is not None else None
@@ -256,9 +217,9 @@ class CubeHub:
                 step = min(step, max(0.0, wait_deadline - time.monotonic()))
             self._settled.wait(step)
 
-    def abort(self, note: str = "aborted") -> DistResult:
+    def abort(self, note: str = "aborted") -> CubeResult:
         """Force-settle an UNKNOWN verdict (no-op if already settled);
-        returns the final :class:`DistResult` either way."""
+        returns the final :class:`CubeResult` either way."""
         with self._lock:
             self._settle("unknown", note=note)
         assert self._result is not None
@@ -352,6 +313,8 @@ class CubeHub:
                 response = self._op_pull(request, host)
             elif op == "result":
                 response = self._op_result(request, host)
+            elif op == "lost":
+                response = self._op_lost(request, host)
             elif op == "clauses":
                 response = self._op_clauses(request, host)
             elif op == "heartbeat":
@@ -381,8 +344,6 @@ class CubeHub:
             slots,
             host.base_index,
         )
-        import dataclasses
-
         response = {
             "id": request.get("id"),
             "ok": True,
@@ -390,7 +351,6 @@ class CubeHub:
             "host": host_id,
             "base_index": host.base_index,
             "lease_s": self.lease_s,
-            "share": self.share,
             "problem": dataclasses.asdict(self.problem),
             "config": dataclasses.asdict(self.base_config),
         }
@@ -401,11 +361,10 @@ class CubeHub:
         response: Dict[str, object] = {"id": request.get("id"), "ok": True}
         if self._settled.is_set() or self._past_deadline():
             return response  # _augment stamps stop
-        index = self._next_cube(host)
+        index = self._ledger.next_cube(host.host_id)
         if index is None:
             response["wait"] = True
             return response
-        host.leases.add(index)
         response["cube"] = {
             "index": index,
             "assumptions": [
@@ -415,71 +374,47 @@ class CubeHub:
         }
         return response
 
-    def _next_cube(self, host: _Host) -> Optional[int]:
-        if self._pending:
-            return self._pending.pop(0)
-        # Queue drained: hand out a duplicate of the least-covered
-        # in-flight cube (same policy as the in-process pool).
-        candidates = [
-            i
-            for i in range(len(self.cubes))
-            if i not in self._done and i not in host.leases
-        ]
-        if not candidates:
-            return None
-
-        def coverage(i: int) -> Tuple[int, int]:
-            holders = sum(
-                1 for h in self._hosts.values() if i in h.leases
-            )
-            return (holders, i)
-
-        return min(candidates, key=coverage)
-
     def _op_result(self, request, host: _Host):
-        index = int(request["cube"])
-        worker = int(request.get("worker", host.base_index))
-        status = str(request["status"])
-        host.leases.discard(index)
+        model = request.get("model")
         share = request.get("share")
-        if isinstance(share, dict):
-            self._share_totals[worker] = {
-                key: int(share.get(key, 0))
-                for key in ("exported", "suppressed", "received", "installed")
-            }
-        if index not in self._done:
-            model = request.get("model")
-            self._done[index] = DistOutcome(
-                index=index,
-                status=status,
+        # Duplicate holders on other hosts learn of the decision from
+        # the ``decided`` list on their next response.
+        self._ledger.record(
+            host.host_id,
+            CubeOutcome(
+                index=int(request["cube"]),
+                status=str(request["status"]),
                 model=dict(model) if isinstance(model, dict) else None,
                 stats=dict(request.get("stats") or {}),
-                worker=worker,
+                worker=int(request.get("worker", host.base_index)),
                 host=host.host_id,
-            )
-            self._decided_log.append(index)
-            # Late duplicate holders learn via the ``decided`` list on
-            # their next response and cancel locally.
+            ),
+            {key: int(share.get(key, 0)) for key in SHARE_KEYS}
+            if isinstance(share, dict)
+            else None,
+        )
+        return {"id": request.get("id"), "ok": True}
+
+    def _op_lost(self, request, host: _Host):
+        index = int(request["cube"])
+        self._release(
+            host, f"host {host.host_id} lost its worker on cube {index}", [index]
+        )
         return {"id": request.get("id"), "ok": True}
 
     def _op_clauses(self, request, host: _Host):
         admitted = 0
-        if self.share:
-            for payload in request.get("batch", ()):  # type: ignore[union-attr]
-                literals = tuple(
-                    tuple(literal) for literal in payload[0]
-                )
-                lbd = int(payload[1])
-                if not (
-                    len(literals) <= 2 or 0 < lbd <= self.relay_max_lbd
-                ):
-                    continue
-                key = clause_payload_key((literals, lbd))
-                if key in self._clause_keys:
-                    continue
-                self._clause_keys.add(key)
-                self._clause_log.append((host.host_id, (literals, lbd)))
-                admitted += 1
+        for payload in request.get("batch", ()):  # type: ignore[union-attr]
+            literals = tuple(tuple(literal) for literal in payload[0])
+            lbd = int(payload[1])
+            if not (len(literals) <= 2 or 0 < lbd <= self.relay_max_lbd):
+                continue
+            key = clause_payload_key((literals, lbd))
+            if key in self._clause_keys:
+                continue
+            self._clause_keys.add(key)
+            self._clause_log.append((host.host_id, (literals, lbd)))
+            admitted += 1
         return {
             "id": request.get("id"),
             "ok": True,
@@ -507,9 +442,10 @@ class CubeHub:
             response["clauses"] = [
                 [list(payload) for payload in batch] for batch in batches
             ]
-        if host.decided_cursor < len(self._decided_log):
-            response["decided"] = self._decided_log[host.decided_cursor:]
-            host.decided_cursor = len(self._decided_log)
+        decided = list(self._ledger.outcomes)
+        if host.decided_cursor < len(decided):
+            response["decided"] = decided[host.decided_cursor:]
+            host.decided_cursor = len(decided)
         if self._settled.is_set() or self._past_deadline():
             response["stop"] = True
 
@@ -520,10 +456,10 @@ class CubeHub:
         now = time.monotonic()
         for host in list(self._hosts.values()):
             if (
-                host.leases
-                and now - host.last_seen > self.lease_s
+                now - host.last_seen > self.lease_s
+                and self._ledger.held(host.host_id)
             ):
-                self._release_leases(
+                self._release(
                     host,
                     f"host {host.host_id} lease expired "
                     f"({now - host.last_seen:.1f}s silent)",
@@ -534,59 +470,34 @@ class CubeHub:
         if host is None:
             return
         logger.info("dist hub: host %s left (%s)", host_id, reason)
-        self._release_leases(host, reason)
+        self._release(host, reason)
 
-    def _release_leases(self, host: _Host, reason: str) -> None:
-        for index in sorted(host.leases):
-            if index in self._done:
-                continue
-            still_held = any(
-                index in other.leases
-                for other in self._hosts.values()
-                if other is not host
+    def _release(
+        self,
+        host: _Host,
+        reason: str,
+        cubes: Optional[Iterable[int]] = None,
+    ) -> None:
+        requeues = self._ledger.requeues
+        lost = self._ledger.release(host.host_id, cubes)
+        if lost is not None:
+            self._settle(
+                "unknown",
+                failure=(
+                    f"cube {lost} lost twice to host failures ({reason})"
+                ),
             )
-            if still_held:
-                continue
-            if self._retries.get(index, 0) >= 1:
-                self._settle(
-                    "unknown",
-                    note="",
-                    failure=(
-                        f"cube {index} lost twice to host failures "
-                        f"({reason})"
-                    ),
-                )
-                break
-            self._retries[index] = self._retries.get(index, 0) + 1
-            self._requeues += 1
-            self._pending.insert(0, index)
+        elif self._ledger.requeues > requeues:
             logger.info(
-                "dist hub: requeued cube %d (%s)", index, reason
+                "dist hub: requeued %d cube(s) (%s)",
+                self._ledger.requeues - requeues,
+                reason,
             )
-        host.leases.clear()
-
-    def _verdict(self) -> Optional[str]:
-        for outcome in self._done.values():
-            if outcome.status == "sat":
-                return "sat"
-        if self.root_index is not None:
-            root = self._done.get(self.root_index)
-            if root is not None and root.status == "unsat":
-                return "unsat"
-        splits = [
-            i for i in range(len(self.cubes)) if i != self.root_index
-        ]
-        if splits and all(i in self._done for i in splits):
-            if all(self._done[i].status == "unsat" for i in splits):
-                return "unsat"
-        if len(self._done) == len(self.cubes):
-            return "unknown"
-        return None
 
     def _maybe_settle(self) -> None:
         if self._settled.is_set():
             return
-        verdict = self._verdict()
+        verdict = self._ledger.verdict()
         if verdict is not None:
             self._settle(verdict)
         elif self._past_deadline():
@@ -598,33 +509,14 @@ class CubeHub:
             self._settle("unknown", note=note)
 
     def _settle(
-        self,
-        status: str,
-        note: str = "",
-        failure: Optional[str] = None,
-        force: bool = False,
+        self, status: str, note: str = "", failure: Optional[str] = None
     ) -> None:
-        if self._settled.is_set() and not force:
+        if self._settled.is_set():
             return
-        result = DistResult(status=status, note=note, failure=failure)
-        for outcome in self._done.values():
-            if outcome.status == "sat":
-                result.model = outcome.model
-                result.winning_cube = outcome.index
-                result.winning_worker = outcome.worker
-                result.winning_host = outcome.host
-                break
-        result.outcomes = dict(self._done)
-        result.share_totals = {
-            key: sum(
-                totals.get(key, 0)
-                for totals in self._share_totals.values()
-            )
-            for key in ("exported", "suppressed", "received", "installed")
-        }
-        result.requeues = self._requeues
+        result = self._ledger.result(status, note)
         result.clauses_relayed = len(self._clause_log)
         result.hosts_seen = self._hosts_seen
+        result.failure = failure
         self._result = result
         self._settled.set()
 

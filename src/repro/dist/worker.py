@@ -3,7 +3,9 @@
 One worker host connects to a :class:`~repro.dist.hub.CubeHub`,
 introduces itself (``hello``), and starts ``jobs`` local solver
 processes — exactly the processes the in-process portfolio pool uses
-(:func:`repro.portfolio.worker.portfolio_worker`), diversified by their
+(:func:`repro.portfolio.worker.portfolio_worker`, started and stopped by
+the pool's :func:`~repro.portfolio.pool.start_workers` /
+:func:`~repro.portfolio.pool.stop_workers`), diversified by their
 *global* worker index (the hub assigns each host a base index so
 rotations never collide across hosts).  The host then runs a single
 event loop:
@@ -20,7 +22,10 @@ event loop:
   ``("cancel", ...)`` — duplicate holders abandon decided cubes);
 * a heartbeat renews this host's cube leases whenever no other request
   has done so recently, so the hub's lost-host requeue only fires on
-  genuinely dead hosts.
+  genuinely dead hosts;
+* a local worker that dies mid-cube is reported with ``lost``, so the
+  hub requeues that cube at once instead of leaving it leased to this
+  (still heartbeating) host.
 
 The loop ends when the hub says ``stop`` (verdict settled), the hub
 connection drops, or every local worker has died.
@@ -34,15 +39,11 @@ import time
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Tuple
 
-from repro import procs
 from repro.core.config import SolverConfig
 from repro.dist.hub import DistError
 from repro.obs import effective_level_spec
-from repro.portfolio.worker import (
-    ProblemSpec,
-    WorkerSpec,
-    portfolio_worker,
-)
+from repro.portfolio.pool import WorkerProcess, start_workers, stop_workers
+from repro.portfolio.worker import ProblemSpec, WorkerSpec
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -56,8 +57,6 @@ logger = logging.getLogger(__name__)
 _POLL_INTERVAL = 0.05
 #: Seconds an idle host waits before retrying a ``wait``-answered pull.
 _PULL_RETRY = 0.2
-#: Seconds children get to exit after a cooperative stop.
-_STOP_GRACE = 1.0
 
 
 class HubClient:
@@ -103,18 +102,6 @@ class HubClient:
             pass
 
 
-class _Child:
-    __slots__ = ("index", "global_index", "process", "conn", "cube")
-
-    def __init__(self, index, global_index, process, conn):
-        self.index = index
-        self.global_index = global_index
-        self.process = process
-        self.conn = conn
-        #: Cube index currently assigned (None while idle *or* ready).
-        self.cube: Optional[int] = None
-
-
 def run_worker_host(
     address: Tuple[str, object],
     jobs: int,
@@ -133,8 +120,8 @@ def run_worker_host(
     """
     jobs = max(1, jobs)
     client = HubClient(address)
-    summary = {"cubes_solved": 0, "clauses_uploaded": 0, "requeues": 0}
-    children: List[_Child] = []
+    summary = {"cubes_solved": 0, "clauses_uploaded": 0}
+    children: List[WorkerProcess] = []
     try:
         welcome = client.call(
             {
@@ -155,28 +142,20 @@ def run_worker_host(
         # capped low so a busy host still notices ``stop`` quickly.
         heartbeat_s = max(0.5, min(2.0, lease_s / 3.0))
 
-        context = procs.context()
         level_spec = effective_level_spec()
-        for index in range(jobs):
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            spec = WorkerSpec(
-                problem=problem,
-                worker_index=base_index + index,
-                base_config=config,
-                crash_cubes=crash_cubes,
-                log_level=level_spec,
-            )
-            process = context.Process(
-                target=portfolio_worker,
-                args=(child_conn, spec),
-                daemon=True,
-                name=f"dist-{base_index + index}",
-            )
-            process.start()
-            child_conn.close()
-            children.append(
-                _Child(index, base_index + index, process, parent_conn)
-            )
+        children = start_workers(
+            [
+                WorkerSpec(
+                    problem=problem,
+                    worker_index=base_index + index,
+                    base_config=config,
+                    crash_cubes=crash_cubes,
+                    log_level=level_spec,
+                )
+                for index in range(jobs)
+            ],
+            "dist",
+        )
 
         try:
             _host_loop(
@@ -193,20 +172,20 @@ def run_worker_host(
                 raise
             logger.info("dist host: stopping (%s)", error)
     finally:
-        _stop_children(children)
+        stop_workers(children)
         client.close()
     return summary
 
 
 def _host_loop(
     client: HubClient,
-    children: List[_Child],
+    children: List[WorkerProcess],
     summary: Dict[str, int],
     welcome: Dict[str, object],
     heartbeat_s: float,
 ) -> None:
-    live: Dict[int, _Child] = {c.index: c for c in children}
-    idle: List[_Child] = []
+    live: Dict[int, WorkerProcess] = {c.index: c for c in children}
+    idle: List[WorkerProcess] = []
     stop = False
     next_pull = 0.0
     last_call = time.monotonic()
@@ -223,11 +202,11 @@ def _host_loop(
                 for payload in batch
             ]
             for child in live.values():
-                _send(child, ("clauses", payloads))
+                child.send(("clauses", payloads))
         for index in response.get("decided", ()):  # type: ignore[union-attr]
             for child in live.values():
                 if child.cube == index:
-                    _send(child, ("cancel", index))
+                    child.send(("cancel", index))
                     child.cube = None
         if response.get("stop"):
             stop = True
@@ -241,22 +220,18 @@ def _host_loop(
 
     deliver(welcome)
 
-    def drop_child(child: _Child, reason: str) -> None:
+    def drop_child(child: WorkerProcess, reason: str) -> None:
         live.pop(child.index, None)
         if child in idle:
             idle.remove(child)
-        try:
-            child.conn.close()
-        except OSError:
-            pass
+        child.conn.close()
         logger.warning("dist host: lost worker %d (%s)", child.index, reason)
         if child.cube is not None:
-            # The hub's lease machinery would recover this eventually;
-            # reporting the loss as an unknown result... would poison
-            # the cube's verdict instead, so the lease expiry (or this
-            # host's death, if the last worker went) is the recovery
-            # path.  A dead child's cube is simply dropped here.
-            child.cube = None
+            # This host's heartbeats keep its leases alive, so the hub
+            # must be told: it requeues the cube once, and a second
+            # loss fails the solve.
+            cube, child.cube = child.cube, None
+            call({"op": "lost", "cube": cube})
 
     while True:
         if stop:
@@ -287,7 +262,7 @@ def _host_loop(
                 _, _worker, batch = message
                 for peer in live.values():
                     if peer is not child:
-                        _send(peer, ("clauses", batch))
+                        peer.send(("clauses", batch))
                 response = call(
                     {
                         "op": "clauses",
@@ -314,7 +289,7 @@ def _host_loop(
                 call(
                     {
                         "op": "result",
-                        "worker": child.global_index,
+                        "worker": child.index,
                         "cube": cube_index,
                         "status": status,
                         "model": model,
@@ -348,35 +323,8 @@ def _host_loop(
                 for name, lo, hi in cube["assumptions"]  # type: ignore[index]
             ]
             child.cube = index
-            _send(
-                child,
-                ("cube", index, assumptions, cube.get("timeout")),  # type: ignore[union-attr]
+            child.send(
+                ("cube", index, assumptions, cube.get("timeout"))  # type: ignore[union-attr]
             )
         if time.monotonic() - last_call > heartbeat_s:
             call({"op": "heartbeat"})
-
-
-def _send(child: _Child, message) -> None:
-    try:
-        child.conn.send(message)
-    except (BrokenPipeError, OSError):
-        pass  # child death surfaces via its pipe on the next poll
-
-
-def _stop_children(children: List[_Child]) -> None:
-    for child in children:
-        try:
-            child.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-    deadline = time.monotonic() + _STOP_GRACE
-    for child in children:
-        procs.terminate_then_kill(
-            child.process,
-            _STOP_GRACE,
-            wait=max(0.0, deadline - time.monotonic()),
-        )
-        try:
-            child.conn.close()
-        except OSError:
-            pass

@@ -934,113 +934,77 @@ def _serve_command(args) -> int:
 def _dist_serve_command(args) -> int:
     import json
 
-    from repro.core import SolverConfig
+    from repro.core import SolverConfig, Status
     from repro.dist import CubeHub
-    from repro.portfolio.cubes import Cube, generate_cubes
-    from repro.portfolio.solve import default_cube_depth, replay_model
-    from repro.portfolio.worker import ProblemSpec, build_problem
+    from repro.dist.run import solve_on_hub
+    from repro.errors import SolverError
+    from repro.portfolio.worker import ProblemSpec
 
-    workers = max(1, args.workers)
-    spec = ProblemSpec("instance", args.case, args.bound)
-    circuit, assumptions = build_problem(spec)
-    depth = (
-        args.cube_depth
-        if args.cube_depth is not None
-        else default_cube_depth(workers)
-    )
-    report = generate_cubes(
-        circuit, assumptions, depth, max_cubes=4 * workers
-    )
-    if report.status is not None:
-        print(
-            json.dumps(
-                {
-                    "event": "result",
-                    "status": report.status.value,
-                    "note": report.note,
-                    "cubes_solved": 0,
-                }
-            ),
-            flush=True,
-        )
-        return 0
-    cubes = [Cube(())] + list(report.cubes)
-    hub = CubeHub(
-        spec,
-        cubes,
-        base_config=SolverConfig(),
-        timeout=args.timeout,
-        lease_s=args.lease,
-        relay_max_lbd=args.relay_max_lbd,
-    )
-    try:
-        if args.unix_socket:
-            kind, target = hub.start(unix_path=args.unix_socket)
-        else:
-            kind, target = hub.start(host=args.host, port=args.port)
-        # Same one-line discovery contract as the solve daemon.
-        print(
-            json.dumps(
-                {
-                    "event": "listening",
-                    "endpoints": [
-                        [kind, target if kind == "unix" else list(target)]
-                    ],
-                    "cubes": len(cubes),
-                }
-            ),
-            flush=True,
-        )
-        result = None
-        while result is None:
-            result = hub.wait(timeout=1.0)
-    except KeyboardInterrupt:
-        result = hub.abort("interrupted")
-    finally:
-        hub.close()
-    if result.failure:
-        print(
-            json.dumps(
-                {"event": "result", "status": "unknown", "error": result.failure}
-            ),
-            flush=True,
-        )
-        return 1
-    status = result.status
-    verified = None
-    if status == "sat":
-        verified = result.model is not None and replay_model(
-            circuit, result.model, assumptions
-        )
-        if not verified:
+    def drive(hub: CubeHub):
+        try:
+            if args.unix_socket:
+                kind, target = hub.start(unix_path=args.unix_socket)
+            else:
+                kind, target = hub.start(host=args.host, port=args.port)
+            # Same one-line discovery contract as the solve daemon.
             print(
                 json.dumps(
                     {
-                        "event": "result",
-                        "status": "unknown",
-                        "error": "SAT model failed simulator replay",
+                        "event": "listening",
+                        "endpoints": [
+                            [kind, target if kind == "unix" else list(target)]
+                        ],
+                        "cubes": len(hub.cubes),
                     }
                 ),
                 flush=True,
             )
-            return 1
+            result = None
+            while result is None:
+                result = hub.wait(timeout=1.0)
+        except KeyboardInterrupt:
+            result = hub.abort("interrupted")
+        finally:
+            hub.close()
+        return result
+
+    try:
+        solved, result = solve_on_hub(
+            ProblemSpec("instance", args.case, args.bound),
+            max(1, args.workers),
+            args.cube_depth,
+            drive,
+            base_config=SolverConfig(),
+            timeout=args.timeout,
+            lease_s=args.lease,
+            relay_max_lbd=args.relay_max_lbd,
+        )
+    except SolverError as error:  # cube lost twice, or a failed replay
+        print(
+            json.dumps(
+                {"event": "result", "status": "unknown", "error": str(error)}
+            ),
+            flush=True,
+        )
+        return 1
+    stats = solved.stats
     print(
         json.dumps(
             {
                 "event": "result",
-                "status": status,
-                "note": result.note,
-                "winning_cube": result.winning_cube,
-                "hosts": result.hosts_seen,
-                "cubes_solved": len(result.outcomes),
-                "requeues": result.requeues,
-                "clauses_relayed": result.clauses_relayed,
-                **({"model_verified": True} if verified else {}),
+                "status": solved.status.value,
+                "note": solved.note,
+                "winning_cube": result.winning_cube if result else None,
+                "hosts": stats.dist_hosts,
+                "cubes_solved": stats.cubes_solved,
+                "requeues": stats.dist_requeues,
+                "clauses_relayed": stats.dist_clauses_relayed,
+                **({"model_verified": True} if solved.is_sat else {}),
             }
         ),
         flush=True,
     )
-    return 0 if status in ("sat", "unsat") else 1
+    return 0 if solved.status in (Status.SAT, Status.UNSAT) else 1
 
 
 def _dist_work_command(args) -> int:

@@ -5,8 +5,8 @@ splitter carves the problem into disjoint *cubes*
 (:mod:`repro.portfolio.cubes`), a rotation of solver configurations
 makes the workers explore differently (:mod:`repro.portfolio.diversify`),
 short learned clauses flow between workers through the master
-(:mod:`repro.portfolio.share`), and the pool
-(:mod:`repro.portfolio.pool`) applies the result semantics: first SAT
+(:mod:`repro.portfolio.share`), and the cube ledger
+(:mod:`repro.portfolio.ledger`) applies the result semantics: first SAT
 anywhere wins, UNSAT needs the root cube or every split cube refuted.
 
 :func:`repro.portfolio.solve.solve_portfolio` is the entry point; it
@@ -16,7 +16,8 @@ non-picklable problems.
 
 from repro.portfolio.cubes import Cube, CubeReport, generate_cubes
 from repro.portfolio.diversify import rotation_size, worker_config
-from repro.portfolio.pool import PoolResult, PortfolioError, run_pool
+from repro.portfolio.ledger import CubeResult
+from repro.portfolio.pool import PortfolioError, run_pool
 from repro.portfolio.share import (
     ClauseExporter,
     ClauseImporter,
@@ -38,7 +39,7 @@ __all__ = [
     "CubeReport",
     "ClauseExporter",
     "ClauseImporter",
-    "PoolResult",
+    "CubeResult",
     "PortfolioError",
     "ProblemSpec",
     "ShareChannel",

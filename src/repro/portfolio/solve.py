@@ -15,10 +15,13 @@ call.  It generates cubes (:mod:`repro.portfolio.cubes`), prepends the
   process is itself a daemonic pool worker (which may not start
   children).
 
-Every SAT model — wherever it was found — is replayed through the
-concrete simulator against the base assumptions before it is reported;
-a replay failure raises (a portfolio soundness bug must never pass
-silently as SAT).
+Both modes record per-cube answers in a
+:class:`~repro.portfolio.ledger.CubeLedger`, and
+:func:`cube_solver_result` (shared with the distributed driver) turns
+the ledger's result into the reported one.  Every SAT model — wherever
+it was found — is replayed through the concrete simulator against the
+base assumptions before it is reported; a replay failure raises (a
+portfolio soundness bug must never pass silently as SAT).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from repro.intervals import Interval
 from repro.obs import Observation
 from repro.portfolio.cubes import Cube, CubeReport, generate_cubes
 from repro.portfolio.diversify import worker_config
-from repro.portfolio.pool import CubeOutcome, PoolResult, run_pool
+from repro.portfolio.ledger import CubeLedger, CubeOutcome, CubeResult
+from repro.portfolio.pool import run_pool
 from repro.portfolio.share import (
     ClauseExporter,
     ClauseImporter,
@@ -99,12 +103,12 @@ def _solve_inline(
     base_config: SolverConfig,
     timeout: Optional[float],
     root_index: Optional[int],
-) -> PoolResult:
+) -> CubeResult:
     """Deterministic in-process portfolio (see module docstring).
 
     Cube order is fixed: split cubes first (round-robin over the
-    diversified sessions), then — only if the splits did not already
-    decide — the root cube on session 0.  Clauses exported by one cube
+    diversified sessions), then the root cube on session 0, stopping as
+    soon as the ledger's verdict settles.  Clauses exported by one cube
     solve are imported by every later solve on a *different* session.
     """
     deadline = time.monotonic() + timeout if timeout is not None else None
@@ -144,15 +148,19 @@ def _solve_inline(
             sessions[index] = (session, exporter, importer)
         return sessions[index]
 
-    result = PoolResult(status="unknown")
-
-    def solve_cube(worker_index: int, cube_index: int) -> Optional[str]:
-        """Solve one cube; returns the status or None on deadline."""
+    ledger = CubeLedger(len(cubes), root_index)
+    split = [i for i in range(len(cubes)) if i != root_index]
+    order = [(position % jobs, index) for position, index in enumerate(split)]
+    if root_index is not None:
+        order.append((0, root_index))
+    status: Optional[str] = None
+    note = ""
+    for worker_index, cube_index in order:
         budget = remaining()
-        if budget is not None and deadline is not None and budget <= 0.0:
-            result.note = f"portfolio timeout after {timeout:.1f}s"
-            return None
-        session, exporter, _importer = get_worker(worker_index)
+        if deadline is not None and budget <= 0.0:
+            note = f"portfolio timeout after {timeout:.1f}s"
+            break
+        session, exporter, importer = get_worker(worker_index)
         cube = cubes[cube_index]
         exporter.cube_names = cube.names()
         merged: Dict[str, object] = dict(assumptions)
@@ -160,51 +168,99 @@ def _solve_inline(
         solved = session.solve(merged, timeout=budget)
         exporter.cube_names = frozenset()
         exporter.flush()
-        result.outcomes[cube_index] = CubeOutcome(
-            index=cube_index,
-            status=solved.status.value,
-            model=solved.model if solved.is_sat else None,
-            stats=solved.stats.as_dict(include_histograms=False),
-            worker=worker_index,
+        ledger.record(
+            worker_index,
+            CubeOutcome(
+                index=cube_index,
+                status=solved.status.value,
+                model=solved.model if solved.is_sat else None,
+                stats=solved.stats.as_dict(include_histograms=False),
+                worker=worker_index,
+            ),
+            {
+                "exported": exporter.exported,
+                "suppressed": exporter.suppressed,
+                "received": importer.received,
+                "installed": importer.installed,
+            },
         )
-        return solved.status.value
+        status = ledger.verdict()
+        if status is not None:
+            break
+    return ledger.result(status or "unknown", note)
 
-    split = [i for i in range(len(cubes)) if i != root_index]
-    sat_cube: Optional[int] = None
-    timed_out = False
-    for position, cube_index in enumerate(split):
-        status = solve_cube(position % max(1, jobs), cube_index)
-        if status is None:
-            timed_out = True
-            break
-        if status == "sat":
-            sat_cube = cube_index
-            break
-    if sat_cube is None and not timed_out:
-        split_unsat = split and all(
-            result.outcomes[i].status == "unsat" for i in split
+
+def cube_solver_result(
+    label: str,
+    report: CubeReport,
+    result: Optional[CubeResult],
+    circuit: Circuit,
+    assumptions: Mapping[str, object],
+    start: float,
+) -> SolverResult:
+    """Turn a cube solve into the :class:`SolverResult` callers see.
+
+    Sums the per-cube counters, derives the share rates, replays a SAT
+    model through the concrete simulator against the base assumptions
+    (a replay failure raises :class:`SolverError`: a soundness bug must
+    never pass silently as SAT), and writes the verdict note, prefixed
+    with ``label``.  ``result`` is None when cube generation itself
+    settled the query (``report.status``); ``start`` is the
+    ``perf_counter`` reading the solve time counts from.
+    """
+    stats = SolverStats()
+    stats.cubes_generated = len(report.cubes) + len(report.refuted)
+    stats.cubes_refuted = len(report.refuted)
+    if result is None:
+        stats.solve_time = time.perf_counter() - start
+        return SolverResult(
+            status=report.status or Status.UNKNOWN,
+            stats=stats,
+            note=report.note,
         )
-        if split_unsat:
-            result.status = "unsat"
-        elif root_index is not None:
-            status = solve_cube(0, root_index)
-            if status == "sat":
-                sat_cube = root_index
-            elif status == "unsat":
-                result.status = "unsat"
-    if sat_cube is not None:
-        outcome = result.outcomes[sat_cube]
-        result.status = "sat"
-        result.model = outcome.model
-        result.winning_cube = sat_cube
-        result.winning_worker = outcome.worker
-    result.share_totals = {
-        "exported": sum(e.exported for _, e, _ in sessions.values()),
-        "suppressed": sum(e.suppressed for _, e, _ in sessions.values()),
-        "received": sum(i.received for _, _, i in sessions.values()),
-        "installed": sum(i.installed for _, _, i in sessions.values()),
-    }
-    return result
+    for outcome in result.outcomes.values():
+        for name in _SUM_COUNTERS:
+            setattr(
+                stats,
+                name,
+                getattr(stats, name) + int(outcome.stats.get(name, 0)),
+            )
+        stats.max_decision_level = max(
+            stats.max_decision_level,
+            int(outcome.stats.get("max_decision_level", 0)),
+        )
+    stats.cubes_solved = len(result.outcomes)
+    totals = result.share_totals
+    stats.clauses_exported = totals.get("exported", 0)
+    stats.clauses_imported = totals.get("installed", 0)
+    received = totals.get("received", 0)
+    stats.share_import_hit_rate = (
+        stats.clauses_imported / received if received else 0.0
+    )
+    stats.solve_time = time.perf_counter() - start
+    status = Status(result.status)
+    model = None
+    note = result.note
+    if status is Status.SAT:
+        solver = f"worker {result.winning_worker}"
+        if result.winning_host is not None:
+            solver += f" of host {result.winning_host}"
+        model = result.model
+        if model is None or not replay_model(circuit, model, assumptions):
+            raise SolverError(
+                f"{label} SAT model failed simulator replay "
+                f"(cube {result.winning_cube}, {solver})"
+            )
+        note = f"{label}: cube {result.winning_cube} SAT on {solver}"
+    elif status is Status.UNSAT and not note:
+        root = result.outcomes.get(0)
+        if root is not None and root.status == "unsat":
+            note = f"{label}: root cube UNSAT"
+        else:
+            note = f"{label}: all {len(report.cubes)} cubes UNSAT"
+    if result.requeues and note:
+        note += f" ({result.requeues} cube requeues)"
+    return SolverResult(status=status, model=model, stats=stats, note=note)
 
 
 def solve_portfolio(
@@ -218,7 +274,6 @@ def solve_portfolio(
     cube_depth: Optional[int] = None,
     deterministic: bool = False,
     optimize: bool = False,
-    share: bool = True,
     observation: Optional[Observation] = None,
     crash_cubes: Optional[Dict[int, Tuple[int, ...]]] = None,
     telemetry_dir: Optional[str] = None,
@@ -264,77 +319,7 @@ def solve_portfolio(
         tracer=tracer,
     )
 
-    def finalize(pool_result: Optional[PoolResult]) -> SolverResult:
-        stats = SolverStats()
-        stats.cubes_generated = len(report.cubes) + len(report.refuted)
-        stats.cubes_refuted = len(report.refuted)
-        if optimize:
-            stats.optimize_nodes_before = optimize_before
-            stats.optimize_nodes_after = optimize_after
-        if pool_result is None:  # settled during generation
-            stats.solve_time = time.perf_counter() - start
-            return SolverResult(
-                status=report.status or Status.UNKNOWN,
-                stats=stats,
-                note=report.note,
-            )
-        for outcome in pool_result.outcomes.values():
-            for name in _SUM_COUNTERS:
-                setattr(
-                    stats,
-                    name,
-                    getattr(stats, name) + int(outcome.stats.get(name, 0)),
-                )
-            stats.max_decision_level = max(
-                stats.max_decision_level,
-                int(outcome.stats.get("max_decision_level", 0)),
-            )
-        stats.cubes_solved = len(pool_result.outcomes)
-        totals = pool_result.share_totals
-        stats.clauses_exported = totals.get("exported", 0)
-        stats.clauses_imported = totals.get("installed", 0)
-        received = totals.get("received", 0)
-        stats.share_import_hit_rate = (
-            totals.get("installed", 0) / received if received else 0.0
-        )
-        stats.solve_time = time.perf_counter() - start
-        if tracer is not None:
-            tracer.event(
-                "share", dl=0, action="export", clauses=stats.clauses_exported
-            )
-            tracer.event(
-                "share", dl=0, action="import", clauses=stats.clauses_imported
-            )
-        status = Status(pool_result.status)
-        model = None
-        note = pool_result.note
-        if status is Status.SAT:
-            model = pool_result.model
-            if model is None or not replay_model(
-                circuit, model, assumptions
-            ):
-                raise SolverError(
-                    "portfolio SAT model failed simulator replay "
-                    f"(cube {pool_result.winning_cube}, worker "
-                    f"{pool_result.winning_worker})"
-                )
-            note = (
-                f"portfolio: cube {pool_result.winning_cube} SAT on "
-                f"worker {pool_result.winning_worker}"
-            )
-        elif status is Status.UNSAT and not note:
-            root = pool_result.outcomes.get(0)
-            if root is not None and root.status == "unsat":
-                note = "portfolio: root cube UNSAT"
-            else:
-                note = (
-                    f"portfolio: all {len(report.cubes)} cubes UNSAT"
-                )
-        return SolverResult(status=status, model=model, stats=stats, note=note)
-
-    if report.status is not None:
-        return finalize(None)
-
+    pool_result: Optional[CubeResult] = None  # None: generation settled
     cubes: List[Cube] = [Cube(())] + list(report.cubes)
     inline = (
         deterministic
@@ -342,7 +327,7 @@ def solve_portfolio(
         or spec is None
         or multiprocessing.current_process().daemon
     )
-    if inline:
+    if report.status is None and inline:
         pool_result = _solve_inline(
             circuit,
             assumptions,
@@ -352,7 +337,7 @@ def solve_portfolio(
             timeout=timeout,
             root_index=0,
         )
-    else:
+    elif report.status is None:
         hub = None
         if telemetry_dir is not None:
             from repro.obs.telemetry import TelemetryHub
@@ -366,13 +351,27 @@ def solve_portfolio(
             timeout=timeout,
             optimize=optimize,
             root_index=0,
-            share=share,
             crash_cubes=crash_cubes,
             telemetry=hub,
         )
         if hub is not None:
             hub.merge()
-    return finalize(pool_result)
+    solved = cube_solver_result(
+        "portfolio", report, pool_result, circuit, assumptions, start
+    )
+    if optimize:
+        solved.stats.optimize_nodes_before = optimize_before
+        solved.stats.optimize_nodes_after = optimize_after
+    if tracer is not None and pool_result is not None:
+        tracer.event(
+            "share", dl=0, action="export",
+            clauses=solved.stats.clauses_exported,
+        )
+        tracer.event(
+            "share", dl=0, action="import",
+            clauses=solved.stats.clauses_imported,
+        )
+    return solved
 
 
 def prove_by_induction_portfolio(

@@ -49,8 +49,6 @@ from repro.portfolio.diversify import worker_config
 from repro.portfolio.share import (
     ClauseExporter,
     ClauseImporter,
-    DEFAULT_MAX_LBD,
-    DEFAULT_MAX_SIZE,
     payload_digest,
 )
 from repro.rtl.circuit import Circuit
@@ -141,8 +139,6 @@ class WorkerSpec:
     base_config: SolverConfig
     #: Run ``rtl.optimize`` on the rebuilt circuit before compiling.
     optimize: bool = False
-    share_max_size: int = DEFAULT_MAX_SIZE
-    share_max_lbd: int = DEFAULT_MAX_LBD
     #: Test hook: hard-exit (simulating a crash) when assigned any of
     #: these cube indices — exercises the master's requeue path.
     crash_cubes: Tuple[int, ...] = ()
@@ -293,11 +289,7 @@ def _worker_body(
             )
         conn.send(("clauses", spec.worker_index, batch))
 
-    exporter = ClauseExporter(
-        sink=send_batch,
-        max_size=spec.share_max_size,
-        max_lbd=spec.share_max_lbd,
-    )
+    exporter = ClauseExporter(sink=send_batch)
     importer = ClauseImporter(session._var_by_name)
     channel = _WorkerChannel(conn, exporter, importer, emitter=emitter)
     session.solver.share = channel

@@ -1,6 +1,7 @@
 """End-to-end distributed solves: real worker-host processes, real
 solver children, one hub — SAT with model replay, UNSAT verdict
-assembly, and crash-host requeue — all over a UNIX socket on localhost.
+assembly, and the requeue of a crashed host's or a lost worker's cube —
+all over a UNIX socket on localhost.
 
 ``b01_1`` at bound 10 violates its property within milliseconds (the
 SAT paths); ``b02_1`` at bound 10 is UNSAT but *not* refuted during
@@ -10,6 +11,7 @@ reports at the hub.  Test cost is process startup, not solving.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import threading
 
@@ -17,8 +19,11 @@ import pytest
 
 from repro import procs
 from repro.core import SolverConfig, Status
-from repro.dist import solve_dist
+from repro.dist import run_worker_host, solve_dist
 from repro.dist.hub import CubeHub
+from repro.portfolio.cubes import generate_cubes
+from repro.portfolio.worker import ProblemSpec, build_problem
+from tests.portfolio.test_portfolio import _HoldBackWorker1, _start_after_exit
 
 _TIMEOUT = 120.0
 _CONFIG = SolverConfig(predicate_learning=True)
@@ -115,6 +120,53 @@ def test_dist_crash_host_requeues_and_verdict_survives(monkeypatch):
     assert result.status is Status.SAT
     assert result.stats.dist_requeues >= 1
     assert "requeue" in result.note
+
+
+def test_dist_host_reports_lost_worker_and_cube_is_requeued(
+    monkeypatch, tmp_path
+):
+    """One host, two workers; worker 0 crashes on its first cube and
+    worker 1 starts only once worker 0 is gone.  The host's heartbeats
+    keep its lease alive, so only its ``lost`` report gets the cube
+    requeued (the hub never hands a host a cube it already holds)."""
+    spec = ProblemSpec("instance", "b13_1", 20)  # UNSAT
+    circuit, assumptions = build_problem(spec)
+    report = generate_cubes(circuit, assumptions, depth=2)
+    assert report.status is None
+    crash_all = tuple(range(len(report.cubes)))
+    context = procs.context()
+    monkeypatch.setattr(
+        procs,
+        "context",
+        lambda: _HoldBackWorker1(
+            context,
+            gate=lambda first, target, args: (
+                _start_after_exit,
+                (first.pid, target) + args,
+            ),
+            # Worker 0 crashes on whichever cube it is handed first.
+            flag=lambda target, args: (
+                target,
+                (args[0], dataclasses.replace(args[1], crash_cubes=crash_all)),
+            ),
+        ),
+    )
+    hub = CubeHub(
+        spec,
+        report.cubes,
+        base_config=SolverConfig(),
+        root_index=None,
+        timeout=60.0,
+    )
+    hub.start(unix_path=str(tmp_path / "hub.sock"))
+    try:
+        run_worker_host(hub.address, 2)
+        result = hub.wait(timeout=5.0)
+    finally:
+        hub.close()
+    assert result is not None
+    assert result.status == "unsat", result.note
+    assert result.requeues == 1
 
 
 def test_dist_rejects_unknown_case():

@@ -1,8 +1,9 @@
 """CubeHub protocol unit tests: raw :class:`HubClient` "hosts" with no
 solver processes behind them, so every queue/lease/relay path is
 exercised deterministically — verdict semantics, requeue on connection
-drop and on lease expiry, the structural double-loss failure, the LBD
-relay filter with dedup, and decided-cube notification.
+drop, on a lost worker and on lease expiry, the structural double-loss
+failure, the LBD relay filter with dedup, and decided-cube
+notification.
 """
 
 from __future__ import annotations
@@ -145,6 +146,25 @@ def test_connection_drop_requeues_then_double_loss_fails(tmp_path):
         assert result.failure is not None
         assert f"cube {first} lost twice" in result.failure
         assert result.requeues == 1
+
+
+def test_lost_worker_requeues_cube_then_second_loss_fails(tmp_path):
+    """A host whose local worker died mid-cube says ``lost``: the cube
+    is requeued at once, though the host stays connected and keeps its
+    lease alive, and losing it a second time fails the solve."""
+    with _hub(tmp_path) as hub:
+        a, _ = _host(hub, "alpha", slots=2)
+        first = a.call({"op": "pull"})["cube"]["index"]
+        a.call({"op": "lost", "cube": first})
+        # The host's other worker is handed the requeued cube.
+        assert a.call({"op": "pull"})["cube"]["index"] == first
+        a.call({"op": "lost", "cube": first})
+        result = hub.wait(timeout=2.0)
+        assert result is not None and result.status == "unknown"
+        assert result.failure is not None
+        assert f"cube {first} lost twice" in result.failure
+        assert result.requeues == 1
+        a.close()
 
 
 def test_lease_expiry_requeues_silent_host(tmp_path):
