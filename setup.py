@@ -1,8 +1,4 @@
-"""Legacy setup shim: metadata lives in pyproject.toml.
-
-Extras are declared there too — ``pip install .[fast]`` pulls NumPy
-for the vectorized propagation engine.
-"""
+"""Legacy setup shim: metadata lives in pyproject.toml."""
 
 from setuptools import setup
 

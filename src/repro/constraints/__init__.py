@@ -23,12 +23,7 @@ from repro.constraints.compile import (
     compile_circuit,
     netlist_signature,
 )
-from repro.constraints.engine import PropagationEngine
-from repro.constraints.fastpath import (
-    ENGINE_IMPLS,
-    numpy_available,
-    resolve_engine_impl,
-)
+from repro.constraints.engine import ENGINE_IMPLS, PropagationEngine
 from repro.constraints.propagators import (
     BoolGateProp,
     ComparatorProp,
@@ -83,6 +78,4 @@ __all__ = [
     "compile_circuit",
     "make_bool_lit",
     "netlist_signature",
-    "numpy_available",
-    "resolve_engine_impl",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import UnsupportedOperationError
-from repro.intervals import Interval, register_cache_reset
+from repro.intervals import Interval
 from repro.intervals import interval as _interval_mod
 from repro.constraints.propagators import (
     BoolGateProp,
@@ -299,9 +299,9 @@ def compile_circuit(
 
 
 # ---------------------------------------------------------------------------
-# Specialized propagator kernels (engine_impl="specialized"/"vectorized")
+# Specialized propagator kernels (engine_impl="specialized", the default)
 # ---------------------------------------------------------------------------
-# A kernel is a closure ``kernel(store) -> Optional[Conflict]`` that is a
+# A kernel is a function ``kernel(store) -> Optional[Conflict]`` that is a
 # *bit-for-bit transcription* of one propagator family's ``propagate``:
 # same narrow_bounds calls in the same order with the same reason and
 # involved tuple, same conflict objects with the same antecedent
@@ -318,50 +318,25 @@ _LINEAR_MAX_ARITY = 4
 
 _CMP_CODES = {OpKind.EQ: 0, OpKind.NE: 1, OpKind.LT: 2, OpKind.LE: 3}
 
-#: Classification plans cached by netlist signature: signature -> plan.
-#: A plan is index-free (family + cohort key per position), so identical
-#: node shapes — a re-unrolled BMC frame, a portfolio ProblemSpec
-#: rebuild — share one classification pass.
-_KERNEL_PLAN_CACHE: Dict[str, Tuple] = {}
-_KERNEL_PLAN_STATS = [0, 0]  # [hits, misses]
-#: exec()-generated kernel factories keyed by plan entry.
+#: exec()-generated kernel factories keyed by family descriptor.  A
+#: factory depends on nothing but its descriptor, and the interning dict
+#: and counters it binds are cleared in place (never rebound) by
+#: ``reset_interval_cache``, so the memo lives for the whole process:
+#: code generation is paid once per family, not once per solve.
 _KERNEL_FACTORIES: Dict[Tuple, Callable] = {}
 
 
-def kernel_plan_stats() -> Tuple[int, int]:
-    """Plan-cache counters as ``(hits, misses)`` since the last reset."""
-    return _KERNEL_PLAN_STATS[0], _KERNEL_PLAN_STATS[1]
-
-
-def clear_kernel_caches() -> None:
-    """Empty the plan cache, codegen memo and counters.
-
-    Registered with :func:`repro.intervals.reset_interval_cache` so
-    cache-hit statistics are execution-mode independent: a warm inline
-    process and a fresh pool worker report the same numbers.
-    """
-    _KERNEL_PLAN_CACHE.clear()
-    _KERNEL_PLAN_STATS[0] = 0
-    _KERNEL_PLAN_STATS[1] = 0
-    _KERNEL_FACTORIES.clear()
-
-
-register_cache_reset(clear_kernel_caches)
-
-
-def netlist_signature(nodes: Sequence[Node], variant: str = "") -> str:
-    """Index-normalized structural hash of a node list (plan-cache key).
+def netlist_signature(nodes: Sequence[Node]) -> str:
+    """Index-normalized structural hash of a node list.
 
     Net indices are taken relative to the first node's output so that
-    identically shaped node lists at different index offsets — the
-    successive frames appended by the incremental BMC unroller — hash
-    equal and share one kernel plan.  The signature captures everything
-    classification depends on (operator kind, widths, constants, factor
-    and shift parameters, operand aliasing pattern): equal signatures
-    imply equal plans by construction.  ``variant`` folds in compilation
-    flags that change classification (``mux_select_implication``).
+    identically shaped node lists at different index offsets hash
+    equal.  The signature captures everything compilation depends on
+    (operator kind, widths, constants, factor and shift parameters,
+    operand aliasing pattern); the solver daemon keys its warm-session
+    cache by it.
     """
-    digest = hashlib.sha1(variant.encode())
+    digest = hashlib.sha1()
     base: Optional[int] = None
     for node in nodes:
         if base is None:
@@ -387,7 +362,7 @@ def netlist_signature(nodes: Sequence[Node], variant: str = "") -> str:
 
 
 def classify_propagator(prop: Propagator) -> Optional[Tuple]:
-    """The kernel-plan entry for one propagator (None = no kernel).
+    """The kernel family descriptor of one propagator (None = no kernel).
 
     Exact-type checks, not isinstance: a subclass overriding
     ``propagate`` must keep its own implementation.
@@ -427,7 +402,7 @@ def classify_propagator(prop: Propagator) -> Optional[Tuple]:
 # (meet, antecedent collection, conflict build, event-kind bits, trail
 # append) directly at each narrowing site, with the reason and involved
 # tuple pre-resolved to index tuples at factory time and the store's
-# bound arrays captured in the closure.  This removes the per-narrowing
+# bound arrays bound as default arguments.  This removes the per-narrowing
 # call chain (narrow_bounds -> _antecedents_for -> Event(**kwargs))
 # while producing the exact same trail: same Event field values in the
 # same order, same Conflict objects with the same antecedent ordering,
@@ -499,11 +474,9 @@ def _conflict_block(ind: str, var: str) -> str:
 
 
 #: Shared factory head: resolves the involved-variable index tuples and
-#: event-kind constants and captures the store's bound arrays.  The
-#: arrays are stable for the store's lifetime (``add_variables`` and
-#: ``backtrack_to`` mutate them in place), so kernels skip the per-call
-#: attribute loads; the ``_store`` call argument is kept only for
-#: signature compatibility with the bound-method fallback kernels.
+#: event-kind constants.  The store's arrays are stable for its lifetime
+#: (``add_variables`` and ``backtrack_to`` mutate them in place), so
+#: kernels bind them once instead of loading attributes per call.
 _FACTORY_HEAD = """\
 def factory(prop, store):
     variables = prop.variables
@@ -521,6 +494,24 @@ def factory(prop, store):
         return 12 if target.is_bool else 4
 
 """
+
+#: Store arrays every kernel reads, and the propagator it narrows for.
+_STORE_NAMES = ("lo", "hi", "trail", "domains", "latest", "prop")
+
+
+def _kernel_def(*names: str) -> str:
+    """The kernel's ``def`` line inside a factory.
+
+    The store arrays and each of ``names`` (the factory's per-propagator
+    constants the kernel reads) become default arguments: one tuple on
+    the function object instead of one closure cell per name, which
+    roughly halves a kernel's memory with no loss of speed.  A name the
+    kernel reads but this list misses would fall through to a global
+    lookup, so ``tests/constraints/test_engine_impls.py`` checks every
+    family for unresolved globals as well as for closure cells.
+    """
+    params = "".join(f", {name}={name}" for name in _STORE_NAMES + names)
+    return f"    def kernel(store{params}):\n"
 
 
 # -- comparator sources -----------------------------------------------------
@@ -692,7 +683,12 @@ def _cmp_source(code: int) -> str:
     kb_x = _kb(x)
     kb_y = _kb(y)
 
-    def kernel(_store):
+"""
+    src += _kernel_def(
+        "all_idx", "pred", "x", "y", "pi", "xi", "yi",
+        "oth_p", "oth_x", "oth_y", "kb_p", "kb_x", "kb_y",
+    )
+    src += """\
         pl = lo[pi]
         xl = lo[xi]
         xh = hi[xi]
@@ -732,7 +728,12 @@ def _mux_source() -> str:
     kb_t = _kb(tvar)
     kb_e = _kb(evar)
 
-    def kernel(_store):
+"""
+    src += _kernel_def(
+        "all_idx", "out", "tvar", "evar", "oi", "si", "ti", "ei",
+        "oth_o", "oth_t", "oth_e", "kb_o", "kb_t", "kb_e",
+    )
+    src += """\
         sl = lo[si]
         if sl == hi[si]:
             if sl:
@@ -806,7 +807,11 @@ def _gate_unary_source() -> str:
     kb_i = _kb(inp)
     flip = 1 if prop._inversion else 0
 
-    def kernel(_store):
+"""
+    src += _kernel_def(
+        "out", "inp", "oi", "ii", "oth_o", "oth_i", "kb_o", "kb_i", "flip"
+    )
+    src += """\
         il = lo[ii]
         if il == hi[ii]:
             value = il ^ flip
@@ -848,7 +853,12 @@ def _gate_xor_source() -> str:
     kb_b = _kb(b)
     flip = 1 if prop._inversion else 0
 
-    def kernel(_store):
+"""
+    src += _kernel_def(
+        "all_idx", "out", "a", "b", "oi", "ai", "bi",
+        "oth_o", "oth_a", "oth_b", "kb_o", "kb_a", "kb_b", "flip",
+    )
+    src += """\
         ov = lo[oi]
         av = lo[ai]
         bv = lo[bi]
@@ -909,7 +919,13 @@ def _gate_and_or_source() -> str:
     non_controlled = 1 - controlled_output
     non_controlling = 1 - controlling
 
-    def kernel(_store):
+"""
+    src += _kernel_def(
+        "out", "input_vars", "oi", "input_indices", "oth_o", "kb_o", "oth_in",
+        "kb_in", "controlling", "controlled_output", "non_controlled",
+        "non_controlling",
+    )
+    src += """\
         unknown_count = 0
         fu_slot = -1
         slot = 0
@@ -1004,7 +1020,15 @@ def _linear_source(count: int, signs: Tuple[int, ...]) -> str:
         src += f"    c{p} = prop.coeffs[{p}]\n"
         src += f"    oth{p} = _oth(v{p})\n"
         src += f"    kb{p} = _kb(v{p})\n"
-    src += "\n    def kernel(_store):\n"
+    src += "\n" + _kernel_def(
+        "constant",
+        "all_idx",
+        *(
+            f"{name}{p}"
+            for p in range(count)
+            for name in ("v", "i", "c", "oth", "kb")
+        ),
+    )
     for p in range(count):
         if signs[p] > 0:
             src += f"        t_lo{p} = c{p} * lo[i{p}]\n"
@@ -1069,7 +1093,7 @@ def _linear_source(count: int, signs: Tuple[int, ...]) -> str:
 
 
 def _factory_for(entry: Tuple) -> Callable:
-    """The exec()-generated kernel factory for one plan entry (cached)."""
+    """The exec()-generated kernel factory for one family (memoized)."""
     factory = _KERNEL_FACTORIES.get(entry)
     if factory is not None:
         return factory
@@ -1103,52 +1127,23 @@ def _factory_for(entry: Tuple) -> Callable:
     return factory
 
 
-def _kernel_from_entry(
-    prop: Propagator, entry: Optional[Tuple], store
-) -> Callable:
-    if entry is None:
-        return prop.propagate
-    return _factory_for(entry)(prop, store)
-
-
-def build_kernels(
-    propagators: Sequence[Propagator],
-    plan_key: Optional[str] = None,
-    store=None,
-) -> Tuple[List[Callable], Tuple, bool]:
+def build_kernels(propagators: Sequence[Propagator], store) -> List[Callable]:
     """Specialized kernels for a propagator list over ``store``.
 
-    Returns ``(kernels, plan, cache_hit)``; ``kernels[i]`` is the
-    closure for ``propagators[i]`` (the bound reference ``propagate``
-    when no kernel family applies) and ``plan[i]`` its classification
-    entry.  ``plan_key`` — a :func:`netlist_signature` — caches the
-    classification so session frame extension and portfolio problem
-    rebuilds skip the classification pass.  ``store`` is the
+    ``kernels[i]`` runs ``propagators[i]`` (its bound reference
+    ``propagate`` when no kernel family applies).  ``store`` is the
     :class:`~repro.constraints.store.DomainStore` the kernels will run
-    against: its bound arrays are captured in the kernel closures, so
-    the kernels are only valid for that store.
+    against: its bound arrays are bound into the kernels, so the
+    kernels are only valid for that store.
     """
-    if store is None:
-        raise ValueError("build_kernels requires the target DomainStore")
-    plan = None
-    hit = False
-    if plan_key is not None:
-        plan = _KERNEL_PLAN_CACHE.get(plan_key)
-        if plan is not None and len(plan) != len(propagators):
-            plan = None  # defensive: unexpected signature collision
-    if plan is None:
-        plan = tuple(classify_propagator(p) for p in propagators)
-        if plan_key is not None:
-            _KERNEL_PLAN_CACHE[plan_key] = plan
-            _KERNEL_PLAN_STATS[1] += 1
-    else:
-        hit = True
-        _KERNEL_PLAN_STATS[0] += 1
-    kernels = [
-        _kernel_from_entry(prop, entry, store)
-        for prop, entry in zip(propagators, plan)
-    ]
-    return kernels, plan, hit
+    kernels = []
+    for prop in propagators:
+        entry = classify_propagator(prop)
+        if entry is None:
+            kernels.append(prop.propagate)
+        else:
+            kernels.append(_factory_for(entry)(prop, store))
+    return kernels
 
 
 def extend_compiled(

@@ -21,32 +21,32 @@ Two scheduling disciplines keep the fixpoint loop off the slow path:
   run fewer times.  Clause (BCP) propagation happens inline during event
   dispatch and therefore ahead of both tiers.
 
-The inner loop comes in three interchangeable implementations selected
-by ``SolverConfig.engine_impl`` (all bit-for-bit equivalent — same
-trail, same conflicts, same counters):
+The inner loop comes in two bit-for-bit equivalent implementations
+(same trail, same conflicts, same counters) selected by
+``SolverConfig.engine_impl``:
 
-* ``"reference"`` — the oracle: dynamic dispatch through each
-  propagator's ``propagate`` method.
-* ``"specialized"`` — per-circuit kernel closures generated by
+* ``"specialized"`` (the default) — per-propagator kernels generated by
   :func:`repro.constraints.compile.build_kernels` (direct array
-  indexing, no Interval churn), cached by netlist signature.
-* ``"vectorized"`` — the specialized kernels plus a NumPy
-  :class:`~repro.constraints.fastpath.VectorizedFilter` that sweeps the
-  expensive tier in batches and skips provably no-op runs.
+  indexing, no Interval churn).
+* ``"reference"`` — the oracle the tests compare against: dynamic
+  dispatch through each propagator's ``propagate`` method.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import SolverError
 from repro.constraints.clause import Clause, ClauseDatabase
 from repro.constraints.compile import build_kernels
-from repro.constraints.fastpath import VectorizedFilter, resolve_engine_impl
 from repro.constraints.propagators import Propagator
 from repro.constraints.store import Conflict, DomainStore
 from repro.constraints.variable import Variable
+
+#: Recognised values of ``SolverConfig.engine_impl``, default first.
+ENGINE_IMPLS = ("specialized", "reference")
 
 
 class PropagationEngine:
@@ -56,9 +56,12 @@ class PropagationEngine:
         self,
         store: DomainStore,
         propagators: Sequence[Propagator],
-        impl: str = "reference",
-        plan_key: Optional[str] = None,
+        impl: str = ENGINE_IMPLS[0],
     ):
+        if impl not in ENGINE_IMPLS:
+            raise SolverError(
+                f"unknown engine_impl {impl!r}; expected one of {ENGINE_IMPLS}"
+            )
         self.store = store
         self.propagators: List[Propagator] = list(propagators)
         self.clause_db = ClauseDatabase(store)
@@ -85,12 +88,6 @@ class PropagationEngine:
         #: Statistics.
         self.propagation_count = 0
         self.wakeup_count = 0
-        #: Expensive-tier pops skipped by the vectorized no-op filter
-        #: (each still counts as a propagation, see fastpath parity
-        #: contract).
-        self.props_filtered = 0
-        self.kernel_plan_hits = 0
-        self.kernel_plan_misses = 0
         #: Wall-time split (only accrued once :meth:`enable_timing` ran):
         #: ``bcp_time`` covers event dispatch (clause propagation) plus
         #: tier-0 Boolean propagators, ``icp_time`` the tier-1 interval
@@ -98,23 +95,13 @@ class PropagationEngine:
         self.bcp_time = 0.0
         self.icp_time = 0.0
         self._timed = False
-        #: Resolved implementation (after vectorized->reference fallback).
-        self.impl = resolve_engine_impl(impl)
         #: position -> callable(store) -> Optional[Conflict]; None on the
         #: reference path.
-        self._fns: Optional[List] = None
-        self._filter: Optional[VectorizedFilter] = None
-        if self.impl != "reference":
-            fns, plan, hit = build_kernels(
-                self.propagators, plan_key, store=self.store
-            )
-            self._fns = fns
-            if hit:
-                self.kernel_plan_hits += 1
-            else:
-                self.kernel_plan_misses += 1
-            if self.impl == "vectorized":
-                self._filter = VectorizedFilter(self.propagators, plan)
+        self._fns: Optional[List] = (
+            build_kernels(self.propagators, store)
+            if impl == "specialized"
+            else None
+        )
 
     def enable_timing(self) -> None:
         """Switch :meth:`propagate` to the timed path (phase profiling).
@@ -143,18 +130,12 @@ class PropagationEngine:
         for position in range(len(self.propagators)):
             self._enqueue(position)
 
-    def extend(
-        self,
-        propagators: Sequence[Propagator],
-        plan_key: Optional[str] = None,
-    ) -> None:
+    def extend(self, propagators: Sequence[Propagator]) -> None:
         """Register freshly compiled propagators (frame-extension path).
 
         The new propagators are scheduled immediately so the next
         :meth:`propagate` folds the appended frame into the fixpoint.
-        On the accelerated paths the appended suffix gets its own
-        kernels; ``plan_key`` (the suffix's netlist signature) lets
-        repeated identical frame extensions reuse one kernel plan.
+        With kernels, the appended suffix gets its own.
         """
         appended = list(propagators)
         base = len(self.propagators)
@@ -169,17 +150,8 @@ class PropagationEngine:
                     (position, propagator.wake_mask(var))
                 )
             self._enqueue(position)
-        if self._fns is not None and appended:
-            fns, plan, hit = build_kernels(
-                appended, plan_key, store=self.store
-            )
-            self._fns.extend(fns)
-            if hit:
-                self.kernel_plan_hits += 1
-            else:
-                self.kernel_plan_misses += 1
-            if self._filter is not None:
-                self._filter.extend(appended, plan, base)
+        if self._fns is not None:
+            self._fns.extend(build_kernels(appended, self.store))
 
     def notify_backtrack(self) -> None:
         """Reset dispatch bookkeeping after the trail shrank."""
@@ -187,10 +159,6 @@ class PropagationEngine:
         self._queues[0].clear()
         self._queues[1].clear()
         self._queued[:] = bytes(len(self._queued))
-        if self._filter is not None:
-            # Backtracking widens bounds while popping events, defeating
-            # the filter's event-id staleness test: drop every flag.
-            self._filter.invalidate()
 
     # ------------------------------------------------------------------
     # Clause installation
@@ -248,9 +216,7 @@ class PropagationEngine:
             return self._propagate_timed()
         if self._fns is None:
             return self._propagate_reference()
-        if self._filter is None:
-            return self._propagate_specialized()
-        return self._propagate_vectorized()
+        return self._propagate_specialized()
 
     def _propagate_reference(self) -> Optional[Conflict]:
         """The oracle loop: dynamic dispatch through ``propagate``."""
@@ -340,99 +306,14 @@ class PropagationEngine:
             self.propagation_count += count
             self.wakeup_count += wakeups
 
-    def _propagate_vectorized(self) -> Optional[Conflict]:
-        """Kernel loop with NumPy batch no-op filtering of the ICP tier.
-
-        Same inlined-dispatch structure as :meth:`_propagate_specialized`
-        with the filter's sweep/skip logic spliced into the expensive
-        tier.
-        """
-        store = self.store
-        trail = store.trail
-        on_var_event = self.clause_db.on_var_event
-        cwatch_get = self.clause_db.watches.get
-        watchers_get = self._watchers.get
-        queued = self._queued
-        idem = self._idem
-        cheap, expensive = self._queues
-        cheap_append = cheap.append
-        expensive_append = expensive.append
-        cheap_pop = cheap.popleft
-        expensive_pop = expensive.popleft
-        tier = self._tier
-        fns = self._fns
-        filt = self._filter
-        is_noop = filt.is_noop
-        dispatched = self._dispatched
-        count = 0
-        wakeups = 0
-        filtered = 0
-        try:
-            while True:
-                while dispatched < len(trail):
-                    event = trail[dispatched]
-                    dispatched += 1
-                    vidx = event.var.index
-                    if cwatch_get(vidx):
-                        conflict = on_var_event(event.var)
-                        if conflict is not None:
-                            return conflict
-                    watching = watchers_get(vidx)
-                    if not watching:
-                        continue
-                    kinds = event.kinds
-                    reason = event.reason
-                    for position, mask in watching:
-                        if mask & kinds and not queued[position]:
-                            if idem[position] is reason:
-                                continue
-                            queued[position] = 1
-                            wakeups += 1
-                            if tier[position]:
-                                expensive_append(position)
-                            else:
-                                cheap_append(position)
-                if cheap:
-                    position = cheap_pop()
-                elif expensive:
-                    filt.maybe_sweep(expensive, store)
-                    position = expensive_pop()
-                    queued[position] = 0
-                    count += 1
-                    if is_noop(position, store):
-                        # The run would change nothing: skip the kernel
-                        # but count the pop, exactly like a no-op
-                        # execution.
-                        filtered += 1
-                        continue
-                    filt.note_run()
-                    conflict = fns[position](store)
-                    if conflict is not None:
-                        return conflict
-                    continue
-                else:
-                    return None
-                queued[position] = 0
-                count += 1
-                conflict = fns[position](store)
-                if conflict is not None:
-                    return conflict
-        finally:
-            self._dispatched = dispatched
-            self.propagation_count += count
-            self.wakeup_count += wakeups
-            self.props_filtered += filtered
-
     def _propagate_timed(self) -> Optional[Conflict]:
         """The fixpoint loop with per-phase clocks (profiling only).
 
-        Works for every implementation: kernels replace the dynamic
-        dispatch when present, and the vectorized filter's sweeps and
-        skips are charged to the ICP clock.
+        Works for both implementations: kernels replace the dynamic
+        dispatch when present.
         """
         perf = time.perf_counter
         fns = self._fns
-        filt = self._filter
         start = perf()
         conflict = self._dispatch_new_events()
         self.bcp_time += perf() - start
@@ -444,22 +325,10 @@ class PropagationEngine:
                 position = cheap.popleft()
                 expensive_tier = False
             else:
-                if filt is not None:
-                    start = perf()
-                    filt.maybe_sweep(expensive, self.store)
-                    self.icp_time += perf() - start
                 position = expensive.popleft()
                 expensive_tier = True
             self._queued[position] = 0
             self.propagation_count += 1
-            if expensive_tier and filt is not None:
-                start = perf()
-                skip = filt.is_noop(position, self.store)
-                self.icp_time += perf() - start
-                if skip:
-                    self.props_filtered += 1
-                    continue
-                filt.note_run()
             start = perf()
             if fns is not None:
                 conflict = fns[position](self.store)

@@ -20,8 +20,8 @@ Three propagator families cover the whole operator set:
   usual controlling/non-controlling value implications.
 
 These classes are the *reference* propagation core and the behavioural
-oracle.  The accelerated cores (``SolverConfig.engine_impl`` of
-``"specialized"`` / ``"vectorized"``) run exec()-generated kernels from
+oracle.  The default core (``SolverConfig.engine_impl="specialized"``)
+runs exec()-generated kernels from
 :mod:`repro.constraints.compile` that unroll each ``propagate`` method
 below into straight-line array code — any semantic change here (bounds
 maths, event kinds, antecedent order, counter bumps) must be mirrored

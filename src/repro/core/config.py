@@ -81,15 +81,13 @@ class SolverConfig:
     #: Database reductions a mid-tier clause may sit through without its
     #: activity moving before it is demoted to the local tier.
     clause_db_mid_staleness: int = 2
-    #: Propagation inner-loop implementation: ``"reference"`` (the
-    #: oracle — per-propagator dict dispatch), ``"specialized"``
-    #: (per-circuit unrolled kernel functions, no NumPy needed) or
-    #: ``"vectorized"`` (specialized kernels plus NumPy batch sweeps
-    #: that skip provably no-op propagator runs; falls back to
-    #: ``"reference"`` with a logged warning when NumPy is absent).
-    #: All three are bit-for-bit equivalent: same trail, same
-    #: conflicts, same models, same counters.
-    engine_impl: str = "reference"
+    #: Propagation inner-loop implementation: ``"specialized"``
+    #: (generated per-propagator kernels, compiled once per family per
+    #: process) or ``"reference"`` (the test oracle — dynamic dispatch
+    #: through each propagator's ``propagate``).  The two are
+    #: bit-for-bit equivalent: same trail, same conflicts, same models,
+    #: same counters.
+    engine_impl: str = "specialized"
 
     def with_overrides(self, **kwargs) -> "SolverConfig":
         """A copy of this config with the given fields replaced."""

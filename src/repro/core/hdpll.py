@@ -37,7 +37,6 @@ from repro.constraints.compile import (
     CompiledSystem,
     compile_circuit,
     extend_compiled,
-    netlist_signature,
 )
 from repro.constraints.engine import PropagationEngine
 from repro.constraints.store import ASSUMPTION, Conflict, DomainStore
@@ -124,17 +123,8 @@ class HdpllSolver:
             mux_select_implication=self.config.mux_select_implication,
         )
         self.store = DomainStore(self.system.variables)
-        plan_key = None
-        if self.config.engine_impl != "reference":
-            plan_key = netlist_signature(
-                circuit.topological_nodes(),
-                "msi" if self.config.mux_select_implication else "",
-            )
         self.engine = PropagationEngine(
-            self.store,
-            self.system.propagators,
-            impl=self.config.engine_impl,
-            plan_key=plan_key,
+            self.store, self.system.propagators, impl=self.config.engine_impl
         )
         clause_db = self.engine.clause_db
         clause_db.core_lbd_max = self.config.clause_db_core_lbd
@@ -413,7 +403,6 @@ class HdpllSolver:
             "heap_picks": self.order.picks,
             "heap_stale_pops": self.order.stale_pops,
             "narrowings": self.store.narrowings,
-            "props_filtered": self.engine.props_filtered,
         }
         # Engine clock snapshot so profiler attribution stays per-query;
         # session-level learning accounts for its own propagation time.
@@ -447,20 +436,13 @@ class HdpllSolver:
         """
         if self.store.decision_level != 0:
             raise SolverError("extension is only legal at level 0")
-        nodes = list(nodes)
         extension = extend_compiled(
             self.system,
-            nodes,
+            list(nodes),
             mux_select_implication=self.config.mux_select_implication,
         )
         self.store.add_variables(extension.variables)
-        plan_key = None
-        if self.engine.impl != "reference":
-            plan_key = netlist_signature(
-                nodes,
-                "msi" if self.config.mux_select_implication else "",
-            )
-        self.engine.extend(extension.propagators, plan_key)
+        self.engine.extend(extension.propagators)
         self.order.add_candidates(self.system, extension.variables)
         if self._structural is not None:
             from repro.core.justify import StructuralDecide
@@ -1004,13 +986,6 @@ class HdpllSolver:
         self.stats.narrowings = (
             self.store.narrowings - marks.get("narrowings", 0)
         )
-        self.stats.props_filtered = (
-            self.engine.props_filtered - marks.get("props_filtered", 0)
-        )
-        # Plan-cache counters are engine-lifetime totals, not per-query
-        # deltas: they describe construction/extension work, not search.
-        self.stats.kernel_plan_hits = self.engine.kernel_plan_hits
-        self.stats.kernel_plan_misses = self.engine.kernel_plan_misses
         hits, misses = interval_cache_stats()
         delta_hits = hits - self._cache_mark[0]
         delta_total = delta_hits + misses - self._cache_mark[1]

@@ -90,13 +90,6 @@ STAT_SPEC = {
     "optimize_nodes_after": ("counter", 0),
     #: Domain-store trail events (actual bound tightenings) this solve.
     "narrowings": ("counter", 0),
-    #: Expensive-tier pops skipped by the vectorized no-op filter
-    #: (still counted in ``propagations``; see engine parity contract).
-    "props_filtered": ("counter", 0),
-    #: Specialized-kernel plan cache hits/misses (engine construction
-    #: and frame extension; reference engine reports zero for both).
-    "kernel_plan_hits": ("counter", 0),
-    "kernel_plan_misses": ("counter", 0),
     #: Wall-clock seconds spent in predicate learning pre-processing.
     "learn_time": ("gauge", 0.0),
     #: Wall-clock seconds spent in search (excludes learn_time).

@@ -16,13 +16,12 @@ suffix of the (mutated-in-place) circuit into the live system, and
 :meth:`learn` runs predicate learning restricted to an explicit
 candidate list, so BMC drivers can probe only the appended frame.
 
-Accelerated propagation cores survive extension: the engine keys its
-specialized-kernel plan by the netlist signature of the appended node
-suffix (see ``HdpllSolver.extend_system``), so re-unrolling the same
-frame shape in a later sweep — or in a sibling pool worker after
-``reset_interval_cache()`` — re-derives identical kernels, and the
-parity contract (same trail, same counters) holds across ``extend``
-boundaries exactly as it does for a fresh solver.
+The generated propagation kernels survive extension: the engine builds
+kernels for just the appended propagators (see
+``HdpllSolver.extend_system``) from the per-family factories the
+process already compiled, and the parity contract with the reference
+core (same trail, same counters) holds across ``extend`` boundaries
+exactly as it does for a fresh solver.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import sys
 from typing import List, Optional
 
 from repro.harness.experiments import run_ablation, run_table1, run_table2
-from repro.harness.runner import ENGINE_NAMES, run_engine
+from repro.harness.runner import ENGINE_NAMES, REFERENCE_SUFFIX, run_engine
 from repro.harness.tables import format_records, format_table1, format_table2
 from repro.itc99 import available_cases, instance
 from repro.obs import (
@@ -51,9 +51,9 @@ TRACEABLE_ENGINES = tuple(
 #: trace interleaves several solves, so it stays out of ``trace``).
 PROFILED_ENGINES = TRACEABLE_ENGINES + ("bmc-session",)
 
-#: ``--engine-impl`` value -> engine-name suffix (reference is the
-#: unsuffixed default; see ``runner.ENGINE_IMPL_SUFFIXES``).
-_IMPL_SUFFIXES = {"reference": "", "specialized": "-spec", "vectorized": "-vec"}
+#: ``--engine-impl`` value -> engine-name suffix (the library default
+#: is unsuffixed; see ``runner.split_engine_impl``).
+_IMPL_SUFFIXES = {"specialized": "", "reference": REFERENCE_SUFFIX}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -66,14 +66,14 @@ def _add_engine_impl(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine-impl",
         choices=tuple(_IMPL_SUFFIXES),
-        default="reference",
-        help="propagation core: the reference engine, per-circuit "
-        "specialized kernels, or kernels plus the NumPy batch filter",
+        default="specialized",
+        help="propagation core: generated per-propagator kernels (the "
+        "default) or the reference engine they are tested against",
     )
 
 
 def _with_impl(engine: str, impl: str) -> str:
-    """``("hdpll+sp", "specialized")`` -> ``"hdpll+sp-spec"``."""
+    """``("hdpll+sp", "reference")`` -> ``"hdpll+sp-ref"``."""
     return engine + _IMPL_SUFFIXES[impl]
 
 
@@ -570,8 +570,7 @@ def _profile_command(args) -> int:
             f"{record.propagations} propagations "
             f"({record.props_per_sec:,.0f}/s), "
             f"{record.narrowings} narrowings "
-            f"({record.narrowings_per_sec:,.0f}/s), "
-            f"{record.props_filtered} filtered"
+            f"({record.narrowings_per_sec:,.0f}/s)"
         )
     if record.session_solves:
         rate = record.probe_cache_hit_rate

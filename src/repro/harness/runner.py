@@ -23,12 +23,12 @@ the instance's circuit is rewritten by :func:`repro.rtl.optimize`
 before compiling, and the node counts around the pass land in
 ``optimize_nodes_before`` / ``optimize_nodes_after``.
 
-Any HDPLL-family engine (including ``bmc-session``/``bmc-oneshot`` and
-``portfolio``) may additionally carry an engine-implementation suffix
-selecting ``SolverConfig.engine_impl``: ``-ref`` (reference), ``-spec``
-(specialized kernels) or ``-vec`` (vectorized, NumPy).  The impl suffix
-is outermost: ``hdpll+sp-opt-vec`` optimizes the circuit and runs the
-vectorized engine.  All implementations are bit-for-bit equivalent, so
+Any HDPLL-family engine (including ``bmc-session``/``bmc-oneshot``,
+``portfolio`` and the ``prop`` drill) runs the library's default
+propagation core (``SolverConfig.engine_impl``, the generated kernels);
+a ``-ref`` suffix runs the reference core, the oracle, instead.  The
+suffix is outermost: ``hdpll+sp-opt-ref`` optimizes the circuit and
+runs the reference core.  The two cores are bit-for-bit equivalent, so
 the suffix only changes wall time, never statuses or counters.
 
 Counter fields on :class:`RunRecord` are filled from the solver's
@@ -94,23 +94,19 @@ ENGINE_NAMES = (
 )
 
 
-#: Engine-name suffix -> ``SolverConfig.engine_impl`` value.
-ENGINE_IMPL_SUFFIXES = {
-    "-ref": "reference",
-    "-spec": "specialized",
-    "-vec": "vectorized",
-}
+#: Engine-name suffix selecting the reference propagation core.
+REFERENCE_SUFFIX = "-ref"
 
 
 def split_engine_impl(engine: str) -> tuple:
-    """``("hdpll+sp", "vectorized")`` for ``"hdpll+sp-vec"`` etc.
+    """``("hdpll+sp", "reference")`` for ``"hdpll+sp-ref"``.
 
-    Names without an impl suffix map to ``engine_impl="reference"``.
+    Names without the suffix map to the library default
+    ``SolverConfig.engine_impl``.
     """
-    for suffix, impl in ENGINE_IMPL_SUFFIXES.items():
-        if engine.endswith(suffix):
-            return engine[: -len(suffix)], impl
-    return engine, "reference"
+    if engine.endswith(REFERENCE_SUFFIX):
+        return engine[: -len(REFERENCE_SUFFIX)], "reference"
+    return engine, SolverConfig.engine_impl
 
 
 @dataclass
@@ -166,11 +162,8 @@ class RunRecord:
     optimize_nodes_after: int = 0
     #: Propagation-core throughput (all HDPLL engines).
     narrowings: int = 0
-    props_filtered: int = 0
     props_per_sec: float = 0.0
     narrowings_per_sec: float = 0.0
-    kernel_plan_hits: int = 0
-    kernel_plan_misses: int = 0
     arith_ops: int = 0
     bool_ops: int = 0
     note: str = ""
@@ -219,11 +212,16 @@ def _status_letter(result: SolverResult) -> str:
     return "-to-"
 
 
+#: The paper's HDPLL configurations (Tables 1 and 2).  Matched exactly,
+#: so a stale or misspelt name aborts instead of running plain HDPLL.
+_HDPLL_ENGINES = ("hdpll", "hdpll+p", "hdpll+s", "hdpll+sp")
+
+
 def _hdpll_config(
     engine: str,
     timeout: Optional[float],
     learning_threshold: Optional[int],
-    engine_impl: str = "reference",
+    engine_impl: str = SolverConfig.engine_impl,
 ) -> SolverConfig:
     return SolverConfig(
         structural_decisions=engine in ("hdpll+s", "hdpll+sp"),
@@ -242,7 +240,7 @@ PROP_DRILL_REPEATS = 10
 
 def run_prop_drill(
     instance: BmcInstance,
-    engine_impl: str = "reference",
+    engine_impl: str = SolverConfig.engine_impl,
     repeats: int = PROP_DRILL_REPEATS,
 ) -> RunRecord:
     """Raw-propagation microbench: the BCP+ICP fixpoint in isolation.
@@ -318,9 +316,6 @@ def run_prop_drill(
     record.propagations = engine.propagation_count
     record.propagator_wakeups = engine.wakeup_count
     record.narrowings = store.narrowings
-    record.props_filtered = engine.props_filtered
-    record.kernel_plan_hits = engine.kernel_plan_hits
-    record.kernel_plan_misses = engine.kernel_plan_misses
     record.clause_visits = engine.clause_db.clause_visits
     if seconds > 0.0:
         record.props_per_sec = engine.propagation_count / seconds
@@ -418,7 +413,7 @@ def run_engine(
             record.status = _status_letter(result)
             apply_stats(record, result.stats)
             record.note = result.note
-        elif base_engine.startswith("hdpll"):
+        elif base_engine in _HDPLL_ENGINES:
             circuit = instance.circuit
             if optimize:
                 from repro.rtl.optimize import optimize as optimize_circuit

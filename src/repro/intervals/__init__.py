@@ -22,7 +22,6 @@ from repro.intervals.interval import (
     hull,
     interval_cache_stats,
     interval_for_width,
-    register_cache_reset,
     reset_interval_cache,
 )
 from repro.intervals.narrowing import (
@@ -46,7 +45,6 @@ __all__ = [
     "hull",
     "interval_cache_stats",
     "interval_for_width",
-    "register_cache_reset",
     "reset_interval_cache",
     "narrow_add",
     "narrow_concat",

@@ -191,42 +191,20 @@ def interval_cache_stats() -> Tuple[int, int]:
     return _CACHE_COUNTS[0], _CACHE_COUNTS[1]
 
 
-#: Extra per-process caches to empty alongside the interning cache.
-#: Other modules (the specialized-propagator plan cache, the NumPy
-#: fallback warn-once flag) register a clearing callback here instead of
-#: being imported from this module, which keeps the dependency direction
-#: intervals <- constraints intact.
-_CACHE_RESET_HOOKS: "list" = []
-
-
-def register_cache_reset(hook) -> None:
-    """Register a zero-argument callable run by :func:`reset_interval_cache`.
-
-    Idempotent per callable: registering the same function twice keeps a
-    single entry (modules may be re-imported under some test runners).
-    """
-    if hook not in _CACHE_RESET_HOOKS:
-        _CACHE_RESET_HOOKS.append(hook)
-
-
 def reset_interval_cache() -> None:
-    """Empty the interning cache, zero its counters, and clear every
-    registered engine-level memo table.
+    """Empty the interning cache and zero its counters.
 
     Harness runs call this once per task so the reported hit rate is a
     function of the task alone, not of which solves happened to warm
     the cache earlier in the same process — a pool worker (fresh
     process, cold cache) and a sequential run must report the same
-    number.  The registered hooks extend the same guarantee to the
-    specialized-propagator plan cache and other execution-mode memo
-    state: cache-hit counters must not depend on whether a solve ran
-    inline or in a warm pool worker.
+    number.  The cache and counters are cleared in place, never
+    rebound: the generated propagation kernels bind them once per
+    process (see :mod:`repro.constraints.compile`).
     """
     _CACHE.clear()
     _CACHE_COUNTS[0] = 0
     _CACHE_COUNTS[1] = 0
-    for hook in _CACHE_RESET_HOOKS:
-        hook()
 
 
 #: Domain of a Boolean variable, per Section 2.1 of the paper.

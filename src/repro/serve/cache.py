@@ -6,9 +6,9 @@ by earlier requests, kept alive so the next request for the same
 netlist pays neither the compile nor the re-learning (the paper's
 cross-call reuse, measured at 5.5x in PR 4).
 
-Entries are keyed by the circuit's :func:`netlist_signature` — the
-same index-normalized structural hash the kernel-plan cache uses — so
-requests naming the same unrolled netlist share one session.  The cache
+Entries are keyed by the circuit's :func:`netlist_signature` — an
+index-normalized structural hash — so requests naming the same
+unrolled netlist share one session.  The cache
 is an LRU bounded by an entry count *and* an approximate byte budget
 (sessions hold the compiled system, domains and the clause database;
 a handful of deep unrollings is real memory).

@@ -53,20 +53,13 @@ def _test_jobs() -> int:
 def _engine_impls() -> List[str]:
     """Propagation-core impls swept by the differential oracles.
 
-    ``REPRO_TEST_ENGINES`` (comma-separated) restricts the sweep;
-    the default is every impl available in this interpreter (the
-    vectorized engine needs NumPy and is skipped without it).
+    ``REPRO_TEST_ENGINES`` (comma-separated) restricts the sweep; the
+    default is both cores, the reference oracle first.
     """
-    from repro.constraints.fastpath import numpy_available
-
     requested = os.environ.get("REPRO_TEST_ENGINES")
     if requested:
-        impls = [name.strip() for name in requested.split(",") if name.strip()]
-    else:
-        impls = ["reference", "specialized", "vectorized"]
-        if not numpy_available():
-            impls.remove("vectorized")
-    return impls
+        return [name.strip() for name in requested.split(",") if name.strip()]
+    return ["reference", "specialized"]
 
 
 def _run_chunked(worker, label: str) -> List[str]:

@@ -1,32 +1,46 @@
-"""Engine-impl plumbing: selection, fallback, caching, and parity.
+"""Engine-impl plumbing: selection, kernel generation, and parity.
 
-The three propagation cores (``reference``, ``specialized``,
-``vectorized``) are one engine behaviourally; these tests cover the
-plumbing around that contract — config validation, the NumPy fallback,
-cache lifecycle under :func:`reset_interval_cache`, the engine-name
-suffix convention, and bit-for-bit parity of the raw-propagation drill
-and the incremental session sweep across impls.
+The two propagation cores (``specialized``, the default, and
+``reference``, the oracle) are one engine behaviourally; these tests
+cover the plumbing around that contract — config validation, the
+kernel factory memo under :func:`reset_interval_cache`, the shape of
+the generated kernels, the engine-name suffix convention, and
+bit-for-bit parity of the raw-propagation drill and the incremental
+session sweep across cores.
 """
 
 from __future__ import annotations
+
+import builtins
+import dis
+import itertools
 
 import pytest
 
 from repro.bmc import make_bmc_instance
 from repro.bmc.session import bmc_sweep_session
-from repro.constraints import compile_circuit
+from repro.constraints import (
+    ENGINE_IMPLS,
+    BoolGateProp,
+    ComparatorProp,
+    LinearEqProp,
+    MuxProp,
+    Variable,
+    VarOrigin,
+    build_kernels,
+    compile_circuit,
+)
 from repro.constraints import compile as compile_mod
-from repro.constraints import fastpath
 from repro.constraints.engine import PropagationEngine
 from repro.constraints.store import DomainStore
-from repro.core import SolverConfig
+from repro.core import HdpllSolver, SolverConfig
 from repro.errors import SolverError
 from repro.harness.runner import (
     run_engine,
     run_prop_drill,
     split_engine_impl,
 )
-from repro.intervals import reset_interval_cache
+from repro.intervals import Interval, interval_cache_stats, reset_interval_cache
 from repro.itc99 import instance as itc99_instance
 from repro.itc99 import random_safety_property, random_sequential_circuit
 from repro.itc99.generator import random_combinational_circuit
@@ -34,22 +48,16 @@ from repro.rtl.levelize import (
     transitive_fanout_count,
     transitive_fanout_counts,
 )
-
-ALL_IMPLS = ("reference", "specialized", "vectorized")
-
-
-def _available_impls():
-    if fastpath.numpy_available():
-        return ALL_IMPLS
-    return ("reference", "specialized")
+from repro.rtl.types import OpKind
 
 
 # ----------------------------------------------------------------------
-# Selection and fallback
+# Selection
 # ----------------------------------------------------------------------
 def test_unknown_engine_impl_rejected():
+    circuit = random_combinational_circuit(0, num_word_inputs=2, width=3)
     with pytest.raises(SolverError, match="unknown engine_impl"):
-        fastpath.resolve_engine_impl("turbo")
+        HdpllSolver(circuit, SolverConfig(engine_impl="turbo"))
 
 
 def test_unknown_engine_impl_rejected_through_engine():
@@ -60,74 +68,113 @@ def test_unknown_engine_impl_rejected_through_engine():
         PropagationEngine(store, system.propagators, impl="turbo")
 
 
-def test_vectorized_fallback_warns_once(monkeypatch, caplog):
-    monkeypatch.setattr(fastpath, "_NUMPY_STATE", [None])
-    monkeypatch.setattr(fastpath, "_WARNED", [False])
-    with caplog.at_level("WARNING", logger="repro"):
-        assert fastpath.resolve_engine_impl("vectorized") == "reference"
-        assert fastpath.resolve_engine_impl("vectorized") == "reference"
-    warnings = [
-        r for r in caplog.records if "falling back to 'reference'" in r.message
-    ]
-    assert len(warnings) == 1
-    assert "pip install .[fast]" in warnings[0].message
-
-
 def test_split_engine_impl():
-    assert split_engine_impl("hdpll+sp") == ("hdpll+sp", "reference")
+    assert SolverConfig().engine_impl == "specialized"
+    assert split_engine_impl("hdpll+sp") == ("hdpll+sp", "specialized")
     assert split_engine_impl("hdpll+sp-ref") == ("hdpll+sp", "reference")
-    assert split_engine_impl("hdpll+sp-spec") == ("hdpll+sp", "specialized")
-    assert split_engine_impl("bmc-session-vec") == ("bmc-session", "vectorized")
-    assert split_engine_impl("prop-spec") == ("prop", "specialized")
+    assert split_engine_impl("bmc-session-ref") == ("bmc-session", "reference")
+    assert split_engine_impl("prop") == ("prop", "specialized")
+    # The removed suffixes are no longer engine-impl selectors.
+    assert split_engine_impl("hdpll+sp-spec") == ("hdpll+sp-spec", "specialized")
+    assert split_engine_impl("bmc-session-vec") == (
+        "bmc-session-vec",
+        "specialized",
+    )
 
 
 # ----------------------------------------------------------------------
-# Cache lifecycle
+# Kernel generation
 # ----------------------------------------------------------------------
-def test_reset_interval_cache_clears_kernel_tables():
-    circuit = random_combinational_circuit(3, num_word_inputs=2, width=3)
-    system = compile_circuit(circuit)
-    signature = compile_mod.netlist_signature(circuit.topological_nodes())
+def _level0_fixpoint(system, assumptions, impl):
+    """Trail fingerprint, conflict-ness and interval-cache (hits, misses)
+    of one level-0 fixpoint, starting from a cold interning cache."""
+    reset_interval_cache()
     store = DomainStore(system.variables)
-    PropagationEngine(
-        store, system.propagators, impl="specialized", plan_key=signature
-    )
-    assert signature in compile_mod._KERNEL_PLAN_CACHE
-    assert compile_mod._KERNEL_FACTORIES
+    engine = PropagationEngine(store, system.propagators, impl=impl)
+    for name, value in assumptions.items():
+        interval = (
+            value if isinstance(value, Interval) else Interval.point(value)
+        )
+        store.assume(system.var_by_name(name), interval)
+    engine.enqueue_all()
+    conflict = engine.propagate()
+    trail = [
+        (e.var.index, e.new.lo, e.new.hi, e.kinds, len(e.antecedents))
+        for e in store.trail
+    ]
+    return trail, conflict is None, interval_cache_stats()
+
+
+def test_reset_interval_cache_keeps_kernel_factories(monkeypatch):
+    inst = itc99_instance("b13_1", 6)
+    system = compile_circuit(inst.circuit)
+    _level0_fixpoint(system, inst.assumptions, "specialized")
+    factories = dict(compile_mod._KERNEL_FACTORIES)
+    assert factories
 
     reset_interval_cache()
-    assert not compile_mod._KERNEL_PLAN_CACHE
-    assert not compile_mod._KERNEL_FACTORIES
-    assert compile_mod.kernel_plan_stats() == (0, 0)
+    assert compile_mod._KERNEL_FACTORIES == factories
 
-    # A rebuild after the reset is a miss again, not a stale hit.
-    store = DomainStore(system.variables)
-    engine = PropagationEngine(
-        store, system.propagators, impl="specialized", plan_key=signature
+    trail, consistent, counts = _level0_fixpoint(
+        system, inst.assumptions, "specialized"
     )
-    assert engine.kernel_plan_misses == 1
-    assert engine.kernel_plan_hits == 0
+    assert compile_mod._KERNEL_FACTORIES == factories
+    assert len(trail) > len(inst.assumptions)
+    reference = _level0_fixpoint(system, inst.assumptions, "reference")
+    assert (trail, consistent) == reference[:2]
+    # The reference propagators build intermediate intervals, so its
+    # cache counters differ; the kernels' must equal those of factories
+    # generated after the reset.  A memoized factory bound to an
+    # interning cache the reset replaced instead of clearing would
+    # count stale hits.
+    monkeypatch.setattr(compile_mod, "_KERNEL_FACTORIES", {})
+    fresh = _level0_fixpoint(system, inst.assumptions, "specialized")
+    assert (trail, consistent, counts) == fresh
 
 
-def test_plan_cache_shared_across_engines():
-    circuit = random_combinational_circuit(4, num_word_inputs=2, width=3)
-    system = compile_circuit(circuit)
-    signature = compile_mod.netlist_signature(circuit.topological_nodes())
-    reset_interval_cache()
-    first = PropagationEngine(
-        DomainStore(system.variables),
-        system.propagators,
-        impl="specialized",
-        plan_key=signature,
+def _var(index, width):
+    return Variable(
+        index=index, name=f"v{index}", width=width, origin=VarOrigin.NET
     )
-    second = PropagationEngine(
-        DomainStore(system.variables),
-        system.propagators,
-        impl="specialized",
-        plan_key=signature,
-    )
-    assert first.kernel_plan_misses == 1
-    assert second.kernel_plan_hits == 1
+
+
+def _kernel_cases():
+    """(family descriptor, propagator) for every kernel family."""
+    word = [_var(i, 4) for i in range(4)]
+    bits = [_var(4 + i, 1) for i in range(3)]
+    cases = []
+    for count in range(1, 5):
+        for signs in itertools.product((1, -1), repeat=count):
+            coeffs = [sign * (p + 1) for p, sign in enumerate(signs)]
+            prop = LinearEqProp(coeffs, word[:count], 3)
+            cases.append((("lin", count, signs), prop))
+    for code, kind in enumerate((OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.LE)):
+        cases.append((("cmp", code), ComparatorProp(bits[0], kind, *word[:2])))
+    cases.append((("mux",), MuxProp(word[0], bits[0], word[1], word[2])))
+    cases.append((("g1",), BoolGateProp(OpKind.NOT, bits[0], bits[1:2])))
+    cases.append((("gx",), BoolGateProp(OpKind.XOR, bits[0], bits[1:])))
+    cases.append((("gao",), BoolGateProp(OpKind.AND, bits[0], bits[1:])))
+    return cases, word + bits
+
+
+def test_every_kernel_family_binds_constants_as_defaults():
+    cases, variables = _kernel_cases()
+    store = DomainStore(variables)
+    kernels = build_kernels([prop for _, prop in cases], store)
+    for (entry, prop), kernel in zip(cases, kernels):
+        assert compile_mod.classify_propagator(prop) == entry
+        assert kernel.__code__.co_name == "kernel", entry
+        assert kernel.__closure__ is None, entry
+        # A name missing from the default-argument list would compile
+        # to a global lookup and fail only when its branch runs.
+        unresolved = {
+            ins.argval
+            for ins in dis.get_instructions(kernel)
+            if ins.opname == "LOAD_GLOBAL"
+            and ins.argval not in kernel.__globals__
+            and not hasattr(builtins, ins.argval)
+        }
+        assert not unresolved, (entry, unresolved)
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +183,7 @@ def test_plan_cache_shared_across_engines():
 def test_prop_drill_parity_across_impls():
     inst = itc99_instance("b01_1", 10)
     records = {
-        impl: run_prop_drill(inst, impl, repeats=2)
-        for impl in _available_impls()
+        impl: run_prop_drill(inst, impl, repeats=2) for impl in ENGINE_IMPLS
     }
     base = records["reference"]
     assert base.status in ("S", "U")
@@ -151,9 +197,9 @@ def test_prop_drill_parity_across_impls():
 
 def test_prop_engine_runs_with_suffix():
     inst = itc99_instance("b01_1", 10)
-    record = run_engine(inst, "prop-spec", timeout=60)
+    record = run_engine(inst, "prop-ref", timeout=60)
     assert record.status in ("S", "U")
-    assert record.engine == "prop-spec"
+    assert record.engine == "prop-ref"
     assert record.props_per_sec > 0
 
 
@@ -161,7 +207,7 @@ def test_session_sweep_parity_across_impls():
     circuit = random_sequential_circuit(11, width=3, operations=10)
     prop = random_safety_property()
     sweeps = {}
-    for impl in _available_impls():
+    for impl in ENGINE_IMPLS:
         config = SolverConfig(predicate_learning=True, engine_impl=impl)
         sweeps[impl] = bmc_sweep_session(circuit, prop, 4, config)
     base = sweeps["reference"]

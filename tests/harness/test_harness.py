@@ -32,9 +32,12 @@ class TestRunner:
 
     def test_unknown_engine(self):
         inst = instance("b01_1", 10)
-        record = run_engine(inst, "frobnicator", timeout=1)
-        assert record.status == "-A-"
-        assert "unknown engine" in record.note
+        # ``-spec`` was an engine-impl suffix once; it must not fall
+        # through to plain HDPLL now.
+        for engine in ("frobnicator", "hdpll+sp-spec"):
+            record = run_engine(inst, engine, timeout=1)
+            assert record.status == "-A-", engine
+            assert "unknown engine" in record.note
 
     def test_timeout_marker(self):
         inst = instance("b04_1", 20)

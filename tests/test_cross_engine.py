@@ -27,15 +27,10 @@ CONFIG_MATRIX = {
     ),
     "no-restarts": SolverConfig(restart_interval=0),
     "phase-zero": SolverConfig(default_phase=0),
-    "spec-core": SolverConfig(
+    "ref-core": SolverConfig(
         structural_decisions=True,
         predicate_learning=True,
-        engine_impl="specialized",
-    ),
-    "vec-core": SolverConfig(
-        structural_decisions=True,
-        predicate_learning=True,
-        engine_impl="vectorized",
+        engine_impl="reference",
     ),
 }
 
