@@ -157,7 +157,8 @@ class CubeHub:
         self._settled = threading.Event()
         self._result: Optional[CubeResult] = None
         self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
+        #: Open host connections, which :meth:`close` hangs up on.
+        self._conns: Set[socket.socket] = set()
         self._closing = False
         self.address: Optional[Tuple[str, object]] = None
 
@@ -188,7 +189,6 @@ class CubeHub:
             target=self._accept_loop, name="dist-hub-accept", daemon=True
         )
         thread.start()
-        self._threads.append(thread)
         logger.info("dist hub: listening on %s", self.address)
         return self.address
 
@@ -226,14 +226,21 @@ class CubeHub:
         return self._result
 
     def close(self) -> None:
-        """Stop accepting and close the listener (hosts already draining
-        still receive ``stop`` from their in-flight requests)."""
+        """Stop accepting and hang up on every host: a host sees its
+        connection drop at once, even while it waits on its workers,
+        and stops them as a ``stop`` would make it."""
         self._closing = True
         if self._listener is not None:
             try:
                 self._listener.close()
             except OSError:
                 pass
+        with self._lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
     @property
     def settled(self) -> bool:
@@ -251,6 +258,8 @@ class CubeHub:
                 continue
             except OSError:
                 return
+            with self._lock:
+                self._conns.add(conn)
             thread = threading.Thread(
                 target=self._serve_connection,
                 args=(conn,),
@@ -258,7 +267,6 @@ class CubeHub:
                 daemon=True,
             )
             thread.start()
-            self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         host_id: Optional[str] = None
@@ -289,8 +297,9 @@ class CubeHub:
                 conn.close()
             except OSError:
                 pass
-            if host_id is not None:
-                with self._lock:
+            with self._lock:
+                self._conns.discard(conn)
+                if host_id is not None:
                     self._drop_host(host_id, "connection closed")
 
     # ------------------------------------------------------------------

@@ -3,9 +3,9 @@
 :func:`solve_dist` is the single-query API (and what the ``dist-1h`` /
 ``dist-2h`` bench engines call): it generates cubes exactly like
 :func:`repro.portfolio.solve.solve_portfolio`, starts a
-:class:`~repro.dist.hub.CubeHub` on a UNIX socket, launches ``hosts``
-worker-host processes against it (each starting ``jobs`` local solver
-workers), and interprets the hub's verdict as a
+:class:`~repro.dist.hub.CubeHub` on a UNIX socket, runs ``hosts`` worker
+hosts against it (each starting ``jobs`` local solver workers), and
+interprets the hub's verdict as a
 :class:`~repro.core.result.SolverResult` through the same
 :func:`~repro.portfolio.solve.cube_solver_result` as the local
 portfolio — including the mandatory simulator replay of any SAT model.
@@ -13,11 +13,12 @@ portfolio — including the mandatory simulator replay of any SAT model.
 interpret.
 
 On a real deployment the hub and the hosts live on different machines
-(see ``docs/distributed.md``); this driver is the single-machine
-harness the benchmarks and tests use, so host processes are
-``multiprocessing`` children (forked from the preloaded fork server in
-:mod:`repro.procs`) rather than SSH sessions — the wire protocol
-between them is byte-identical either way.
+(see ``docs/distributed.md``), and each host is a ``dist-work``
+process.  This driver is the single-machine harness the benchmarks and
+tests use, so its hosts are daemon threads of the caller, and their
+solver workers fork from the caller's preloaded fork server
+(:mod:`repro.procs`); the wire protocol between hub and hosts is
+byte-identical either way.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ import logging
 import os
 import shutil
 import tempfile
+import threading
 import time
 from typing import Callable, Optional, Tuple
 
-from repro import procs
 from repro.core.config import SolverConfig
 from repro.core.result import SolverResult
 from repro.dist.hub import CubeHub, DistError
 from repro.dist.worker import run_worker_host
-from repro.obs import effective_level_spec
 from repro.portfolio.cubes import Cube, generate_cubes
 from repro.portfolio.ledger import CubeResult
 from repro.portfolio.solve import cube_solver_result, default_cube_depth
@@ -44,27 +44,10 @@ logger = logging.getLogger(__name__)
 
 #: Seconds granted past the solve deadline for hosts to report in.
 _SETTLE_GRACE = 10.0
-
-
-def _host_main(
-    address: Tuple[str, object],
-    jobs: int,
-    name: str,
-    log_level: Optional[str],
-    crash_cubes: Tuple[int, ...] = (),
-) -> None:
-    """Worker-host process entry point (``Process`` target)."""
-    if log_level:
-        from repro.obs import configure_logging
-
-        configure_logging(log_level)
-    try:
-        run_worker_host(
-            address, jobs, name=name, crash_cubes=crash_cubes
-        )
-    except DistError as error:
-        logger.warning("dist host %s: %s", name, error)
-        raise SystemExit(1)
+#: Seconds the driver waits for its hosts to stop after the verdict: a
+#: host sees the closed hub hang up at once, then gives its workers the
+#: stop and SIGTERM graces (1 s each).
+_STOP_WAIT = 5.0
 
 
 def solve_on_hub(
@@ -122,51 +105,40 @@ def solve_dist(
     jobs: int = 2,
     timeout: Optional[float] = None,
     base_config: Optional[SolverConfig] = None,
-    cube_depth: Optional[int] = None,
-    lease_s: float = 30.0,
     crash_hosts: int = 0,
 ) -> SolverResult:
     """Distributed cube-and-conquer solve of one registry instance.
 
-    ``hosts`` worker-host processes each run ``jobs`` local solver
-    workers; diversification indices are global, so a 2-host x 2-job
-    run explores the same strategy spread as a 4-worker portfolio.
-    ``crash_hosts`` is the requeue test hook: that many of the launched
-    hosts run with the crash-on-first-assignment worker hook, dying as
-    soon as they take a cube — the hub must requeue their cubes onto
-    the surviving hosts without changing the verdict.
+    ``hosts`` worker hosts each run ``jobs`` local solver workers;
+    diversification indices are global, so a 2-host x 2-job run
+    explores the same strategy spread as a 4-worker portfolio.
+    ``crash_hosts`` is the requeue test hook: that many of the hosts
+    run with the crash-on-first-assignment worker hook, dying as soon
+    as they take a cube — the hub must requeue their cubes onto the
+    surviving hosts without changing the verdict.
     """
     hosts = max(1, hosts)
     jobs = max(1, jobs)
 
     def drive(hub: CubeHub) -> CubeResult:
         tmpdir = tempfile.mkdtemp(prefix="repro-dist-")
-        processes = []
+        threads = []
         try:
             address = hub.start(unix_path=os.path.join(tmpdir, "hub.sock"))
-            level_spec = effective_level_spec()
-            context = procs.context()
             for index in range(hosts):
                 crash = (
                     tuple(range(len(hub.cubes)))
                     if index < crash_hosts
                     else ()
                 )
-                process = context.Process(
-                    target=_host_main,
-                    args=(
-                        address,
-                        jobs,
-                        f"host-{index}",
-                        level_spec,
-                        crash,
-                    ),
-                    # NOT daemonic: hosts start their own worker children.
-                    daemon=False,
+                thread = threading.Thread(
+                    target=_run_host,
+                    args=(address, jobs, f"host-{index}", crash),
+                    daemon=True,
                     name=f"dist-host-{index}",
                 )
-                process.start()
-                processes.append(process)
+                thread.start()
+                threads.append(thread)
             deadline = (
                 time.monotonic() + timeout + _SETTLE_GRACE
                 if timeout is not None
@@ -178,7 +150,7 @@ def solve_dist(
                     return hub.abort("dist driver wait expired")
                 result = hub.wait(timeout=0.5)
                 if result is None and not any(
-                    p.is_alive() for p in processes
+                    t.is_alive() for t in threads
                 ):
                     # Give the hub one last sweep: the connection-drop
                     # handler may have settled a failure verdict already.
@@ -188,19 +160,29 @@ def solve_dist(
             return result
         finally:
             hub.close()
-            stop_deadline = time.monotonic() + 2.0
-            for process in processes:
-                procs.terminate_then_kill(
-                    process, wait=max(0.0, stop_deadline - time.monotonic())
-                )
+            stop_deadline = time.monotonic() + _STOP_WAIT
+            for thread in threads:
+                thread.join(max(0.0, stop_deadline - time.monotonic()))
             shutil.rmtree(tmpdir, ignore_errors=True)
 
     return solve_on_hub(
         ProblemSpec("instance", case, bound),
         hosts * jobs,
-        cube_depth,
+        None,
         drive,
         base_config=base_config or SolverConfig(),
         timeout=timeout,
-        lease_s=lease_s,
     )[0]
+
+
+def _run_host(
+    address: Tuple[str, object],
+    jobs: int,
+    name: str,
+    crash_cubes: Tuple[int, ...],
+) -> None:
+    """Worker-host thread body: a failed host is the hub's to requeue."""
+    try:
+        run_worker_host(address, jobs, name=name, crash_cubes=crash_cubes)
+    except (DistError, OSError) as error:
+        logger.warning("dist host %s: %s", name, error)

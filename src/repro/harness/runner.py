@@ -86,9 +86,9 @@ ENGINE_NAMES = (
     "serve-cold",
     "serve-warm",
     #: Distributed cube-and-conquer cells (PR 9): the query runs through
-    #: a cube hub plus N worker-host processes (each ``jobs`` wide),
-    #: exactly the ``repro-hdpll dist-serve``/``dist-work`` deployment
-    #: but on one machine (see ``repro.dist``).
+    #: a cube hub plus N worker hosts (each ``jobs`` wide), the
+    #: ``repro-hdpll dist-serve``/``dist-work`` protocol on one machine,
+    #: with the hosts as threads (see ``repro.dist.run``).
     "dist-1h",
     "dist-2h",
 )

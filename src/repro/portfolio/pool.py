@@ -1,18 +1,16 @@
-"""Portfolio master: run worker processes, relay clauses, survive crashes.
+"""Portfolio workers: one supervisor, driven by the local cube pool.
 
-The master owns N worker processes (duplex pipe each, started from the
-preloaded fork server in :mod:`repro.procs`) and drives a
-:class:`~repro.portfolio.ledger.CubeLedger` with them as holders: a
-worker that reports ready (or finishes a cube) gets the ledger's next
-cube, each result goes into the ledger, and the duplicate holders it
-names get a cube-scoped ``("cancel", index)``.  The cube contract (root
-cube, least-covered duplicates, first report wins, the verdict rule,
-requeue once then fail) is stated in :mod:`repro.portfolio.ledger`.
-
-Here a crashed worker is a released holder: losing the same cube twice,
-or losing every worker, raises :class:`PortfolioError`.
-:func:`start_workers` / :func:`stop_workers` are shared with the
-distributed worker host (:mod:`repro.dist.worker`).
+:class:`WorkerPool` is the parent side of the worker pipe protocol
+(:mod:`repro.portfolio.worker`).  It starts the workers from the
+preloaded fork server (:mod:`repro.procs`), relays each exported clause
+batch to the local peers, sends cube-scoped cancels, turns a closed
+pipe, a dead process or a ``fatal`` message into one :class:`Lost`
+event carrying the cube the worker held, and stops the workers.  Two
+drivers feed it cubes: :func:`run_pool` from an in-process
+:class:`~repro.portfolio.ledger.CubeLedger` whose holders are worker
+indices (the ledger states the cube contract; losing the same cube
+twice, or every worker, raises :class:`PortfolioError`), and
+:func:`repro.dist.worker.run_worker_host` from a cube hub.
 """
 
 from __future__ import annotations
@@ -22,11 +20,12 @@ from multiprocessing.connection import wait as connection_wait
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro import procs
@@ -44,8 +43,8 @@ from repro.portfolio.worker import (
 if TYPE_CHECKING:
     from repro.obs.telemetry import TelemetryHub
 
-#: Seconds the master waits in one poll round before sweeping for
-#: silently-died workers and checking the deadline.
+#: Seconds one :meth:`WorkerPool.poll` waits for a message before
+#: sweeping for silently-died workers.
 _POLL_INTERVAL = 0.05
 #: Seconds workers get to exit after a cooperative stop before being
 #: terminated.
@@ -56,17 +55,43 @@ class PortfolioError(SolverError):
     """Unrecoverable portfolio failure (crashed cubes, dead pool)."""
 
 
-class WorkerProcess:
-    """One started :func:`portfolio_worker`: its process, the parent's
-    pipe end, and the cube it is solving (tracked by worker hosts)."""
+class Finished(NamedTuple):
+    """A worker decided a cube and is idle again."""
 
-    __slots__ = ("index", "process", "conn", "cube")
+    worker: int
+    outcome: CubeOutcome
+    totals: Dict[str, int]
+
+
+class Exported(NamedTuple):
+    """A worker exported a clause batch (already sent to its peers)."""
+
+    worker: int
+    batch: list
+
+
+class Lost(NamedTuple):
+    """A worker is gone, with the cube it held (or None)."""
+
+    worker: int
+    cube: Optional[int]
+    reason: str
+
+
+Event = Union[Finished, Exported, Lost]
+
+
+class _Worker:
+    __slots__ = ("index", "process", "conn", "listening", "idle", "cube")
 
     def __init__(self, index: int, process, conn):
-        #: The worker's (global) index, as in its :class:`WorkerSpec`.
-        self.index = index
+        self.index = index  # as in its WorkerSpec
         self.process = process
         self.conn = conn
+        #: Reported ready, so it reads its pipe.
+        self.listening = False
+        self.idle = False
+        #: The cube it is solving (None when idle or cancelled).
         self.cube: Optional[int] = None
 
     def send(self, message) -> None:
@@ -76,41 +101,132 @@ class WorkerProcess:
             pass  # worker death surfaces via its pipe on the next poll
 
 
-def start_workers(
-    specs: Sequence[WorkerSpec], name: str
-) -> List[WorkerProcess]:
-    """Start one worker process per spec from :func:`repro.procs.context`,
-    named ``{name}-{worker_index}``."""
-    context = procs.context()
-    workers = []
-    for spec in specs:
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(
-            target=portfolio_worker,
-            args=(child_conn, spec),
-            daemon=True,
-            name=f"{name}-{spec.worker_index}",
-        )
-        process.start()
-        child_conn.close()
-        workers.append(WorkerProcess(spec.worker_index, process, parent_conn))
-    return workers
+class WorkerPool:
+    """The started workers of one query; leaving the ``with`` block
+    stops them."""
 
+    def __init__(self, specs: Sequence[WorkerSpec], name: str):
+        """Start one worker per spec, named ``{name}-{worker_index}``."""
+        context = procs.context()
+        #: Live workers by worker index.
+        self.live: Dict[int, _Worker] = {}
+        for spec in specs:
+            parent_conn, child_conn = context.Pipe(duplex=True)
+            process = context.Process(
+                target=portfolio_worker,
+                args=(child_conn, spec),
+                daemon=True,
+                name=f"{name}-{spec.worker_index}",
+            )
+            process.start()
+            child_conn.close()
+            self.live[spec.worker_index] = _Worker(
+                spec.worker_index, process, parent_conn
+            )
 
-def stop_workers(workers: Iterable[WorkerProcess]) -> None:
-    """Send every worker ``("stop",)``, give them one shared stop grace
-    to exit, terminate the rest, and close the pipes."""
-    workers = list(workers)
-    for worker in workers:
-        worker.send(("stop",))
-    stop_deadline = time.monotonic() + _STOP_GRACE
-    for worker in workers:
-        procs.terminate_then_kill(
-            worker.process,
-            _STOP_GRACE,
-            wait=max(0.0, stop_deadline - time.monotonic()),
-        )
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def idle(self) -> List[int]:
+        """Indices of the live workers waiting for a cube."""
+        return [worker.index for worker in self.live.values() if worker.idle]
+
+    def assign(
+        self,
+        worker: int,
+        cube: int,
+        assumptions: Sequence[Tuple[str, int, int]],
+        timeout: Optional[float],
+    ) -> None:
+        target = self.live[worker]
+        target.idle, target.cube = False, cube
+        target.send(("cube", cube, assumptions, timeout))
+
+    def cancel(self, cube: int) -> None:
+        """Tell every worker solving the decided ``cube`` to abandon it;
+        it turns idle once it reports ready."""
+        for worker in self.live.values():
+            if worker.cube == cube:
+                worker.cube = None
+                worker.send(("cancel", cube))
+
+    def share(self, batch, source: Optional[int] = None) -> None:
+        """Send a clause payload batch to every live worker but
+        ``source``."""
+        for worker in self.live.values():
+            if worker.index != source:
+                worker.send(("clauses", batch))
+
+    def poll(self, wake=None) -> List[Event]:
+        """Wait up to ``_POLL_INTERVAL`` seconds for worker messages, or
+        until ``wake`` (an object with a ``fileno``) turns readable;
+        return what the worker messages mean to the driver."""
+        by_conn = {worker.conn: worker for worker in self.live.values()}
+        waitables = list(by_conn) + ([wake] if wake is not None else [])
+        ready = connection_wait(waitables, timeout=_POLL_INTERVAL)
+        if not ready:
+            return [
+                self._lose(worker, "died")
+                for worker in list(self.live.values())
+                if not worker.process.is_alive()
+            ]
+        events: List[Event] = []
+        for conn in ready:
+            worker = by_conn.get(conn)
+            if worker is None or worker.index not in self.live:
+                continue  # ``wake``, or lost earlier this round
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                events.append(self._lose(worker, "pipe closed"))
+                continue
+            kind = message[0]
+            if kind == "ready":
+                worker.listening = worker.idle = True
+            elif kind == "clauses":
+                self.share(message[2], source=worker.index)
+                events.append(Exported(worker.index, message[2]))
+            elif kind == "result":
+                _, _, cube, status, model, stats, totals = message
+                worker.idle, worker.cube = True, None
+                outcome = CubeOutcome(cube, status, model, stats, worker.index)
+                events.append(Finished(worker.index, outcome, totals))
+            elif kind == "fatal":
+                events.append(self._lose(worker, f"failed: {message[2]}"))
+            else:  # pragma: no cover - protocol guard
+                raise PortfolioError(f"unexpected message {kind!r}")
+        return events
+
+    def _lose(self, worker: _Worker, what: str) -> Lost:
+        del self.live[worker.index]
         worker.conn.close()
+        procs.terminate_then_kill(worker.process)
+        return Lost(
+            worker.index,
+            worker.cube,
+            f"worker {worker.index} {what} (exit {worker.process.exitcode})",
+        )
+
+    def stop(self) -> None:
+        """Send every live worker ``("stop",)``.  Those that reported
+        ready get one shared stop grace to exit; the others cannot hear
+        it (they are still setting up) and get SIGTERM at once.  Reap
+        them all and close the pipes."""
+        # Those that cannot hear the stop first: no wait delays them.
+        workers = sorted(self.live.values(), key=lambda w: w.listening)
+        self.live = {}
+        for worker in workers:
+            worker.send(("stop",))
+        stop_deadline = time.monotonic() + _STOP_GRACE
+        for worker in workers:
+            wait = max(0.0, stop_deadline - time.monotonic())
+            procs.terminate_then_kill(
+                worker.process, wait=wait if worker.listening else 0.0
+            )
+            worker.conn.close()
 
 
 def run_pool(
@@ -169,56 +285,9 @@ def run_pool(
         )
         for index in range(jobs)
     ]
-    live: Dict[int, WorkerProcess] = {
-        worker.index: worker for worker in start_workers(specs, "portfolio")
-    }
     ledger = CubeLedger(len(cubes), root_index)
-
-    def assign(worker: WorkerProcess) -> None:
-        index = ledger.next_cube(worker.index)
-        if index is not None:
-            worker.send(
-                ("cube", index, cubes[index].assumptions, remaining())
-            )
-
-    def drop_worker(worker: WorkerProcess, reason: str) -> None:
-        live.pop(worker.index, None)
-        worker.conn.close()
-        procs.terminate_then_kill(worker.process, _STOP_GRACE)
-        lost = ledger.release(worker.index)
-        if lost is not None:
-            raise PortfolioError(
-                f"cube {lost} lost to repeated worker crashes ({reason})"
-            )
-        if not live and ledger.verdict() is None:
-            raise PortfolioError(
-                f"all portfolio workers died ({reason})"
-            )
-
-    def handle(worker: WorkerProcess, message) -> None:
-        kind = message[0]
-        if kind == "ready":
-            assign(worker)
-        elif kind == "clauses":
-            for peer in live.values():
-                if peer is not worker:
-                    peer.send(("clauses", message[2]))
-        elif kind == "result":
-            _, w_index, cube_index, status, model, stats, totals = message
-            outcome = CubeOutcome(cube_index, status, model, stats, w_index)
-            # Duplicate holders grinding on the decided cube free up for
-            # the next assignment.  A cancel that crosses the peer's own
-            # result on the pipe is dropped as stale by the worker.
-            for holder in ledger.record(worker.index, outcome, totals):
-                live[holder].send(("cancel", cube_index))
-            assign(worker)
-        elif kind == "fatal":
-            drop_worker(worker, f"worker {worker.index}: {message[2]}")
-        else:  # pragma: no cover - protocol guard
-            raise PortfolioError(f"unexpected message {kind!r}")
-
     note = ""
-    try:
+    with WorkerPool(specs, "portfolio") as workers:
         while True:
             status = ledger.verdict()
             if status is not None:
@@ -227,35 +296,33 @@ def run_pool(
                 status = "unknown"
                 note = f"portfolio timeout after {timeout:.1f}s"
                 break
-            if not live:
-                raise PortfolioError("all portfolio workers died")
-            conns = {w.conn: w for w in live.values()}
-            ready = connection_wait(
-                list(conns), timeout=_POLL_INTERVAL
-            )
-            if not ready:
-                for worker in list(live.values()):
-                    if not worker.process.is_alive():
-                        drop_worker(
-                            worker,
-                            f"worker {worker.index} died "
-                            f"(exit {worker.process.exitcode})",
-                        )
-                continue
-            for conn in ready:
-                worker = conns[conn]
-                if worker.index not in live:
-                    continue  # dropped earlier this round
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    drop_worker(
-                        worker,
-                        f"worker {worker.index} pipe closed "
-                        f"(exit {worker.process.exitcode})",
+            for worker in workers.idle():
+                index = ledger.next_cube(worker)
+                if index is not None:
+                    workers.assign(
+                        worker, index, cubes[index].assumptions, remaining()
                     )
-                    continue
-                handle(worker, message)
-    finally:
-        stop_workers(live.values())
+            for event in workers.poll():
+                if isinstance(event, Finished):
+                    # Duplicate holders grinding on the decided cube free
+                    # up for the next assignment; the cube-scoped cancel
+                    # reaches exactly the holders the ledger returns.  A
+                    # cancel that crosses the peer's own result on the
+                    # pipe is dropped as stale by the worker.
+                    holders = ledger.record(
+                        event.worker, event.outcome, event.totals
+                    )
+                    if holders:
+                        workers.cancel(event.outcome.index)
+                elif isinstance(event, Lost):
+                    lost = ledger.release(event.worker)
+                    if lost is not None:
+                        raise PortfolioError(
+                            f"cube {lost} lost to repeated worker crashes "
+                            f"({event.reason})"
+                        )
+                    if not workers.live and ledger.verdict() is None:
+                        raise PortfolioError(
+                            f"all portfolio workers died ({event.reason})"
+                        )
     return ledger.result(status, note)

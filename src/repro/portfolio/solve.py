@@ -271,7 +271,6 @@ def solve_portfolio(
     jobs: int = 4,
     timeout: Optional[float] = None,
     base_config: Optional[SolverConfig] = None,
-    cube_depth: Optional[int] = None,
     deterministic: bool = False,
     optimize: bool = False,
     observation: Optional[Observation] = None,
@@ -310,11 +309,10 @@ def solve_portfolio(
         circuit = optimize_circuit(circuit)
         optimize_after = len(circuit.nodes)
 
-    depth = cube_depth if cube_depth is not None else default_cube_depth(jobs)
     report = generate_cubes(
         circuit,
         assumptions,
-        depth,
+        default_cube_depth(jobs),
         max_cubes=4 * jobs,
         tracer=tracer,
     )

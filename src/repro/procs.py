@@ -1,10 +1,11 @@
 """How solver child processes are started and stopped.
 
-Every pool that runs solver children -- the portfolio pool
-(:mod:`repro.portfolio.pool`), ``solve_dist`` and its worker hosts
-(:mod:`repro.dist`), and the harness task pool
-(:mod:`repro.harness.parallel`) -- takes its ``multiprocessing`` context
-from :func:`context` and stops children with :func:`terminate_then_kill`.
+Both pools that run solver children -- the worker supervisor
+(:mod:`repro.portfolio.pool`), which the portfolio pool and every dist
+worker host drive, and the harness task pool
+(:mod:`repro.harness.parallel`) -- take their ``multiprocessing``
+context from :func:`context` and stop children with
+:func:`terminate_then_kill`.
 
 Children come from a ``multiprocessing`` fork server.  It starts on the
 first :func:`context` call in a process, imports :data:`PRELOAD` once,
@@ -15,14 +16,16 @@ fork server.
 
 Why a fork server and not plain ``fork``: the processes that start
 solver children run threads (the ``solve_dist`` caller runs the hub's
-threads, the daemon its executor threads), and forking a threaded
-process can copy a lock that another thread holds.  A forked worker
-host would also inherit the hub's listening socket.  The fork server is
-a fresh single-threaded interpreter that holds none of this.
+threads and its worker hosts, the daemon its executor threads), and
+forking a threaded process can copy a lock that another thread holds.
+A forked worker would also inherit the hub's listening socket.  The
+fork server is a fresh single-threaded interpreter that holds none of
+this.
 
-The stdlib does not share a fork server across processes: a child
-forked from it that starts children of its own (a dist worker host)
-launches its own server on its first :func:`context` call.
+The stdlib does not share a fork server across processes.  The hosts
+of ``solve_dist`` are threads, so their workers come from the caller's
+server; only a ``dist-work`` process launches a server of its own, for
+the one query it serves.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from typing import Optional
 
 #: Modules the fork server imports before it forks any child: the
 #: portfolio worker and, through it, the solver.  Kept to what a solver
-#: worker needs, because a dist worker host launches a server of its own
-#: for every query and waits for this preload before its first worker
-#: starts; a host or harness task imports its own entry module.
+#: worker needs, because a ``dist-work`` host launches a server for the
+#: query it serves and waits for this preload before its first worker
+#: starts; a harness task imports its own entry module.
 PRELOAD = ("repro.portfolio.worker",)
 
 #: Grace between SIGTERM and SIGKILL.  The TERM gives a worker's

@@ -1,7 +1,7 @@
-"""End-to-end distributed solves: real worker-host processes, real
-solver children, one hub — SAT with model replay, UNSAT verdict
-assembly, and the requeue of a crashed host's or a lost worker's cube —
-all over a UNIX socket on localhost.
+"""End-to-end distributed solves: real worker hosts (threads of the
+caller), real solver children, one hub — SAT with model replay, UNSAT
+verdict assembly, and the requeue of a crashed host's or a lost
+worker's cube — all over a UNIX socket on localhost.
 
 ``b01_1`` at bound 10 violates its property within milliseconds (the
 SAT paths); ``b02_1`` at bound 10 is UNSAT but *not* refuted during
@@ -17,12 +17,13 @@ import threading
 
 import pytest
 
+import repro.dist.run as dist_run
 from repro import procs
 from repro.core import SolverConfig, Status
 from repro.dist import run_worker_host, solve_dist
 from repro.dist.hub import CubeHub
 from repro.portfolio.cubes import generate_cubes
-from repro.portfolio.worker import ProblemSpec, build_problem
+from repro.portfolio.worker import ProblemSpec, build_problem, portfolio_worker
 from tests.portfolio.test_portfolio import _HoldBackWorker1, _start_after_exit
 
 _TIMEOUT = 120.0
@@ -62,36 +63,6 @@ def test_dist_unsat_all_cubes():
     assert result.stats.dist_hosts == 1
 
 
-class _HeldStart:
-    """A process whose ``start`` waits until ``released`` is set."""
-
-    def __init__(self, process, released):
-        self._process = process
-        self._released = released
-
-    def start(self):
-        assert self._released.wait(60.0), "host 0 never left the hub"
-        self._process.start()
-
-    def __getattr__(self, name):
-        return getattr(self._process, name)
-
-
-class _HoldBackHost1:
-    """Stand-in for :func:`repro.procs.context` whose later hosts start
-    only once ``released`` is set."""
-
-    def __init__(self, context, released):
-        self._context = context
-        self._released = released
-
-    def Process(self, **kwargs):
-        process = self._context.Process(**kwargs)
-        if kwargs["name"] == "dist-host-0":
-            return process
-        return _HeldStart(process, self._released)
-
-
 def test_dist_crash_host_requeues_and_verdict_survives(monkeypatch):
     """Host 0 dies on its first cube; the hub requeues it and host 1
     settles the query.  Host 1 starts only after the hub has dropped
@@ -104,10 +75,14 @@ def test_dist_crash_host_requeues_and_verdict_survives(monkeypatch):
         dropped.set()
 
     monkeypatch.setattr(CubeHub, "_drop_host", drop_and_release)
-    context = procs.context()
-    monkeypatch.setattr(
-        procs, "context", lambda: _HoldBackHost1(context, dropped)
-    )
+    run_host = dist_run.run_worker_host
+
+    def hold_back_host_1(*args, name, **kwargs):
+        if name != "host-0":
+            assert dropped.wait(60.0), "host 0 never left the hub"
+        return run_host(*args, name=name, **kwargs)
+
+    monkeypatch.setattr(dist_run, "run_worker_host", hold_back_host_1)
     result = solve_dist(
         "b01_1",
         10,
@@ -120,6 +95,38 @@ def test_dist_crash_host_requeues_and_verdict_survives(monkeypatch):
     assert result.status is Status.SAT
     assert result.stats.dist_requeues >= 1
     assert "requeue" in result.note
+
+
+class _RecordTargets:
+    """Stand-in for :func:`repro.procs.context` that records the target
+    of every process started from it."""
+
+    def __init__(self, context):
+        self._context = context
+        self.targets = []
+        self.Pipe = context.Pipe
+
+    def Process(self, **kwargs):
+        self.targets.append(kwargs["target"])
+        return self._context.Process(**kwargs)
+
+
+def test_dist_starts_only_solver_workers(monkeypatch):
+    """The hosts of ``solve_dist`` are threads of the caller: the only
+    processes it starts are the solver workers, forked from the
+    caller's fork server."""
+    recorder = _RecordTargets(procs.context())
+    monkeypatch.setattr(procs, "context", lambda: recorder)
+    result = solve_dist(
+        "b01_1",
+        10,
+        hosts=2,
+        jobs=1,
+        timeout=_TIMEOUT,
+        base_config=_CONFIG,
+    )
+    assert result.status is Status.SAT
+    assert recorder.targets == [portfolio_worker, portfolio_worker]
 
 
 def test_dist_host_reports_lost_worker_and_cube_is_requeued(

@@ -2,13 +2,14 @@
 solver processes behind them, so every queue/lease/relay path is
 exercised deterministically — verdict semantics, requeue on connection
 drop, on a lost worker and on lease expiry, the structural double-loss
-failure, the LBD relay filter with dedup, and decided-cube
-notification.
+failure, the LBD relay filter with dedup, decided-cube notification,
+and the hang-up on close.
 """
 
 from __future__ import annotations
 
 import contextlib
+import select
 import time
 
 import pytest
@@ -98,6 +99,23 @@ def test_sat_anywhere_settles_and_stops_peers(tmp_path):
         assert cube_a["index"] in response.get("decided", ())
         a.close()
         b.close()
+
+
+def test_close_hangs_up_on_every_host(tmp_path):
+    """A host waiting on busy workers sends nothing, so it would hear
+    ``stop`` only with its next request; closing the hub ends its
+    connection instead, which it sees without asking."""
+    with _hub(tmp_path) as hub:
+        a, _ = _host(hub, "alpha")
+        a.call({"op": "pull"})
+        _report(a, 0, "unsat")
+        assert hub.wait(timeout=2.0) is not None
+        assert not select.select([a], [], [], 0.0)[0]
+        hub.close()
+        assert select.select([a], [], [], 5.0)[0], "hub never hung up"
+        with pytest.raises(DistError, match="hub (closed|connection lost)"):
+            a.call({"op": "heartbeat"})
+        a.close()
 
 
 def test_root_unsat_settles_without_split_results(tmp_path):

@@ -397,6 +397,43 @@ def test_duplicate_holder_cancelled_when_cube_decided(
     assert all(m.startswith("cancelled-0-") for m in markers)
 
 
+def test_stop_terminates_a_worker_that_never_reported_ready_at_once(
+    tmp_path, monkeypatch
+):
+    """A worker still in set-up cannot hear ``("stop",)``, so stopping
+    the pool sends it SIGTERM without the cooperative wait that a ready
+    worker gets.  Worker 1 is held in start-up (its gate never opens)
+    while worker 0 settles the query alone."""
+    never = str(tmp_path / "never-created")
+    context = procs.context()
+    monkeypatch.setattr(
+        procs,
+        "context",
+        lambda: _HoldBackWorker1(
+            context,
+            gate=lambda first, target, args: (
+                _start_after_file,
+                (never, target) + args,
+            ),
+        ),
+    )
+    waits = {}
+    terminate_then_kill = procs.terminate_then_kill
+
+    def record_wait(process, grace=procs.TERM_GRACE, wait=0.0):
+        waits[process.name] = wait
+        terminate_then_kill(process, grace, wait)
+
+    monkeypatch.setattr(procs, "terminate_then_kill", record_wait)
+    spec, cubes = _crash_problem()
+    result = run_pool(
+        spec, cubes, jobs=2, base_config=SolverConfig(), timeout=120.0
+    )
+    assert result.status == "sat"
+    assert waits["portfolio-1"] == 0.0
+    assert waits["portfolio-0"] > 0.0
+
+
 def test_all_workers_crashing_fails_loudly():
     spec, cubes = _crash_problem()
     with pytest.raises(PortfolioError):
@@ -410,6 +447,23 @@ def test_all_workers_crashing_fails_loudly():
                 0: tuple(range(len(cubes))),
                 1: tuple(range(len(cubes))),
             },
+        )
+
+
+def test_all_workers_crashing_reports_why():
+    """The error names how the last worker died (the crash hook exits
+    with status 23), not just that the pool is empty."""
+    spec, cubes = _crash_problem()
+    with pytest.raises(
+        PortfolioError, match=r"all portfolio workers died.*exit 23"
+    ):
+        run_pool(
+            spec,
+            cubes,
+            jobs=1,
+            base_config=SolverConfig(),
+            timeout=120.0,
+            crash_cubes={0: tuple(range(len(cubes)))},
         )
 
 
