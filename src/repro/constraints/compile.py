@@ -12,6 +12,7 @@ variables").
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -393,6 +394,35 @@ def classify_propagator(prop: Propagator) -> Optional[Tuple]:
             return ("gx",)
         return ("gao",)
     return None
+
+
+#: Every descriptor :func:`classify_propagator` can return: ``lin`` for
+#: each arity up to :data:`_LINEAR_MAX_ARITY` times each sign pattern,
+#: ``cmp`` for each comparator code, and the four gate/mux families.
+KERNEL_FAMILIES: Tuple[Tuple, ...] = (
+    *(
+        ("lin", count, signs)
+        for count in range(1, _LINEAR_MAX_ARITY + 1)
+        for signs in itertools.product((1, -1), repeat=count)
+    ),
+    *(("cmp", code) for code in sorted(_CMP_CODES.values())),
+    ("mux",),
+    ("g1",),
+    ("gx",),
+    ("gao",),
+)
+
+
+def warm_kernel_factories() -> None:
+    """Generate the factory of every family in :data:`KERNEL_FAMILIES`.
+
+    Library code never calls this: a process that only solves generates
+    the families it meets, on first use.  The fork server calls it once
+    (through :mod:`repro.preload`), so the children it forks inherit
+    every factory instead of generating their own after each fork.
+    """
+    for entry in KERNEL_FAMILIES:
+        _factory_for(entry)
 
 
 # -- generated-source building blocks ---------------------------------------

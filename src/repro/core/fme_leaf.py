@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constraints.compile import CompiledSystem
 from repro.constraints.propagators import (
@@ -164,12 +164,14 @@ def check_solution_box(
     store: DomainStore,
     system: CompiledSystem,
     branch_budget: int = 200_000,
+    interrupt: Optional[Callable[[], None]] = None,
 ) -> LeafCheckResult:
     """Certify or refute the current solution box.
 
     Returns a feasible result with a *complete* witness (every solver
     variable mapped to an in-domain value satisfying every active
-    constraint), or an infeasible result.
+    constraint), or an infeasible result.  ``interrupt`` is called
+    throughout the integer search (see :class:`~repro.fme.omega.OmegaSolver`).
     """
     tagged = collect_tagged_system(store, system)
 
@@ -220,7 +222,7 @@ def check_solution_box(
         domain = store.domains[var.index]
         witness[var.index] = domain.lo  # refined below for free components
 
-    solver = OmegaSolver(max_branch_nodes=branch_budget)
+    solver = OmegaSolver(max_branch_nodes=branch_budget, interrupt=interrupt)
     for root, members in components.items():
         component_vars = {
             var

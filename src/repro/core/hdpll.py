@@ -177,10 +177,13 @@ class HdpllSolver:
         self._learn_icp = 0.0
         #: Optional clause-sharing channel (the portfolio layer): an
         #: object with ``export(clause)`` — called with every learned
-        #: clause — and ``poll() -> list[Clause]`` — drained at the top
-        #: of the search loop; returned clauses are installed against
-        #: the *current* trail (re-watched, re-checked) as learned
-        #: clauses.  ``None`` keeps the hot path a single attribute test.
+        #: clause — ``poll() -> list[Clause]`` — drained at the top of
+        #: the search loop; returned clauses are installed against the
+        #: *current* trail (re-watched, re-checked) as learned clauses —
+        #: and ``drain()`` — called throughout a leaf check's integer
+        #: search, where nothing can be installed: it takes in what has
+        #: arrived for the next ``poll`` and may raise to end the solve.
+        #: ``None`` keeps the hot path a single attribute test.
         self.share = None
 
     # ------------------------------------------------------------------
@@ -805,15 +808,18 @@ class HdpllSolver:
                 self.store,
                 self.system,
                 branch_budget=self.config.omega_branch_budget,
+                interrupt=self._leaf_interrupt,
             )
         except ResourceLimitError as error:
-            # The integer solver ran out of branch budget: neither SAT
-            # nor UNSAT can be concluded from this box.
-            return self._finish(Status.UNKNOWN, note=str(error))
+            leaf, note = None, str(error)
         elapsed = time.perf_counter() - begin
         self.stats.fme_time += elapsed
         if self._prof is not None:
             self._prof.add("search/fme", elapsed)
+        if leaf is None:
+            # Out of branch budget or past the deadline: neither SAT
+            # nor UNSAT can be concluded from this box.
+            return self._finish(Status.UNKNOWN, note=note)
         if self._trace is not None:
             self._trace.event(
                 "leaf",
@@ -844,6 +850,23 @@ class HdpllSolver:
         conflict = self._install_learned(clause, backtrack_level)
         final, _resolved = self._resolve_conflicts(conflict, bump_source=False)
         return final
+
+    def _leaf_interrupt(self) -> None:
+        """Run throughout a leaf check's integer search (see
+        :class:`~repro.fme.omega.OmegaSolver`), where the search loop's
+        budget test and share poll cannot run.
+
+        Past the deadline it raises :class:`ResourceLimitError`, so the
+        check ends UNKNOWN as it does on the branch budget.  The share
+        hook's ``drain`` takes in what arrived on its channel, and a
+        worker's stop or cube cancel raised there unwinds the solve as
+        it does from the search loop.
+        """
+        deadline = self._deadline
+        if deadline is not None and time.perf_counter() > deadline:
+            raise ResourceLimitError(self._budget_note())
+        if self.share is not None:
+            self.share.drain()
 
     def _analyze_fme_refutation(self, leaf):
         """Conflict analysis of an arithmetic refutation (the [9] hybrid

@@ -9,7 +9,7 @@ the rationals iff the original one is.  The Omega-style integer test in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.fme.linear import LinearConstraint
 
@@ -83,8 +83,14 @@ def _cheapest_variable(constraints: List[LinearConstraint]) -> Optional[int]:
     )
 
 
-def rational_feasible(constraints: Iterable[LinearConstraint]) -> bool:
-    """Feasibility of a pure-inequality system over the rationals."""
+def rational_feasible(
+    constraints: Iterable[LinearConstraint],
+    interrupt: Optional[Callable[[], None]] = None,
+) -> bool:
+    """Feasibility of a pure-inequality system over the rationals.
+
+    ``interrupt``, when given, is called before each elimination step.
+    """
     current: List[LinearConstraint] = []
     for constraint in constraints:
         if constraint.trivially_false:
@@ -92,6 +98,8 @@ def rational_feasible(constraints: Iterable[LinearConstraint]) -> bool:
         if not constraint.is_trivial:
             current.append(constraint)
     while True:
+        if interrupt is not None:
+            interrupt()
         var = _cheapest_variable(current)
         if var is None:
             return True

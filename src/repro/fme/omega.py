@@ -27,7 +27,7 @@ branching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ResourceLimitError
 from repro.fme.fourier_motzkin import eliminate_variable, rational_feasible
@@ -44,10 +44,22 @@ class OmegaStats:
 
 
 class OmegaSolver:
-    """Integer feasibility with witness extraction."""
+    """Integer feasibility with witness extraction.
 
-    def __init__(self, max_branch_nodes: int = 200_000):
+    ``interrupt``, when given, is called at every branch node and at
+    every elimination step of a node's rational relaxation, the two
+    places a search can spend unbounded time; whatever it raises (a
+    deadline's :class:`ResourceLimitError`, a worker's stop) ends the
+    search.
+    """
+
+    def __init__(
+        self,
+        max_branch_nodes: int = 200_000,
+        interrupt: Optional[Callable[[], None]] = None,
+    ):
         self.max_branch_nodes = max_branch_nodes
+        self.interrupt = interrupt
         self.stats = OmegaStats()
 
     # ------------------------------------------------------------------
@@ -332,6 +344,8 @@ class OmegaSolver:
     ) -> Optional[Dict[int, int]]:
         if budget[0] <= 0:
             raise ResourceLimitError("omega branch budget exhausted")
+        if self.interrupt is not None:
+            self.interrupt()
         budget[0] -= 1
         self.stats.branches += 1
 
@@ -362,7 +376,7 @@ class OmegaSolver:
         for var, (lo, hi) in bounds.items():
             relaxation.append(LinearConstraint.le({var: 1}, hi))
             relaxation.append(LinearConstraint.le({var: -1}, -lo))
-        if not rational_feasible(relaxation):
+        if not rational_feasible(relaxation, self.interrupt):
             return None
 
         # All-unit-coefficient systems are integral after FME + bounds

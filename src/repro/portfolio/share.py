@@ -283,7 +283,7 @@ class ShareChannel:
     ``export`` feeds the exporter; ``poll`` drains clauses queued by
     :meth:`enqueue` (and, when ``receive`` is given, pulls fresh payload
     batches from it first — the deterministic in-process pool uses that
-    to read a shared list).
+    to read a shared list); ``drain`` only pulls, for the next ``poll``.
     """
 
     def __init__(
@@ -303,10 +303,13 @@ class ShareChannel:
     def enqueue(self, payloads: Sequence[ClausePayload]) -> None:
         self._pending.extend(self.importer.accept(payloads))
 
-    def poll(self) -> Sequence[Clause]:
+    def drain(self) -> None:
         if self._receive is not None:
             for batch in self._receive():
                 self.enqueue(batch)
+
+    def poll(self) -> Sequence[Clause]:
+        self.drain()
         if not self._pending:
             return ()
         pending = self._pending

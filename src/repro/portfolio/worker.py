@@ -24,9 +24,10 @@ worker -> master   ("ready", worker_index)
                    ("fatal", worker_index, message)
 
 ``stop`` is honoured *mid-solve*: the share hook the solver polls every
-few search iterations also drains the pipe, and raises
-:class:`WorkerStopped` when a stop arrives — unwinding cleanly through
-the solver (whose persistent mode backtracks in a ``finally``).
+few search iterations, and throughout an FME leaf check, also drains
+the pipe, and raises :class:`WorkerStopped` when a stop arrives —
+unwinding cleanly through the solver (whose persistent mode backtracks
+in a ``finally``).
 
 ``cancel`` is the cube-scoped variant: the master sends it when another
 worker already decided the named cube, so a duplicate holder abandons
@@ -162,7 +163,9 @@ class _WorkerChannel:
     ``poll`` (called once per search-loop iteration) drains the pipe
     every :data:`POLL_STRIDE` calls — delivering peer clauses mid-solve
     and honouring mid-solve cancellation — then hands any pending
-    imported clauses to the solver.
+    imported clauses to the solver.  ``drain`` (called throughout an FME
+    leaf check's integer search) drains the pipe alone, so a stop or a
+    cancel also ends a long leaf check.
     """
 
     def __init__(self, conn, exporter: ClauseExporter,
@@ -193,7 +196,7 @@ class _WorkerChannel:
                 lbd=[clause.lbd for clause in clauses],
             )
 
-    def drain_pipe(self) -> None:
+    def drain(self) -> None:
         while self._conn.poll():
             message = self._conn.recv()
             if message[0] == "stop":
@@ -212,7 +215,7 @@ class _WorkerChannel:
     def poll(self):
         self._tick += 1
         if self._tick % POLL_STRIDE == 0:
-            self.drain_pipe()
+            self.drain()
         if not self._pending:
             return ()
         pending = self._pending

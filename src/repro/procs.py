@@ -8,11 +8,14 @@ context from :func:`context` and stop children with
 :func:`terminate_then_kill`.
 
 Children come from a ``multiprocessing`` fork server.  It starts on the
-first :func:`context` call in a process, imports :data:`PRELOAD` once,
-and forks each child from that warm state, so a child skips the
-interpreter start and the solver import that a ``spawn`` child pays
-(about 0.3 s each).  ``spawn`` remains only where the platform has no
-fork server.
+first :func:`context` call in a process, runs :data:`PRELOAD` once (the
+warm-up in :mod:`repro.preload`: every module on the cube worker's path
+and every propagation-kernel family), and forks each child from that
+warm state.  A child so skips the interpreter start and the solver
+import that a ``spawn`` child pays (about 0.3 s), and the lazy imports
+and kernel generation that a cube worker would otherwise repeat after
+every fork.  ``spawn`` remains only where the platform has no fork
+server.
 
 Why a fork server and not plain ``fork``: the processes that start
 solver children run threads (the ``solve_dist`` caller runs the hub's
@@ -39,11 +42,12 @@ from pathlib import Path
 from typing import Optional
 
 #: Modules the fork server imports before it forks any child: the
-#: portfolio worker and, through it, the solver.  Kept to what a solver
-#: worker needs, because a ``dist-work`` host launches a server for the
-#: query it serves and waits for this preload before its first worker
-#: starts; a harness task imports its own entry module.
-PRELOAD = ("repro.portfolio.worker",)
+#: warm-up in :mod:`repro.preload`, which imports the cube worker's
+#: whole path and generates every propagation-kernel family, so a child
+#: does neither after its fork.  That adds some 0.07 s to the server's
+#: start, once per process; only a ``dist-work`` host launches a server
+#: for a single query.  A harness task imports its own entry module.
+PRELOAD = ("repro.preload",)
 
 #: Grace between SIGTERM and SIGKILL.  The TERM gives a worker's
 #: flight-recorder signal handler (see

@@ -4,7 +4,8 @@ The two propagation cores (``specialized``, the default, and
 ``reference``, the oracle) are one engine behaviourally; these tests
 cover the plumbing around that contract — config validation, the
 kernel factory memo under :func:`reset_interval_cache`, the shape of
-the generated kernels, the engine-name suffix convention, and
+the generated kernels, the family list the fork server generates up
+front, the engine-name suffix convention, and
 bit-for-bit parity of the raw-propagation drill and the incremental
 session sweep across cores.
 """
@@ -41,13 +42,16 @@ from repro.harness.runner import (
     split_engine_impl,
 )
 from repro.intervals import Interval, interval_cache_stats, reset_interval_cache
+from repro.itc99 import available_cases
 from repro.itc99 import instance as itc99_instance
 from repro.itc99 import random_safety_property, random_sequential_circuit
 from repro.itc99.generator import random_combinational_circuit
+from repro.portfolio import ProblemSpec, build_problem
 from repro.rtl.levelize import (
     transitive_fanout_count,
     transitive_fanout_counts,
 )
+from repro.rtl.optimize import optimize
 from repro.rtl.types import OpKind
 
 
@@ -175,6 +179,38 @@ def test_every_kernel_family_binds_constants_as_defaults():
             and not hasattr(builtins, ins.argval)
         }
         assert not unresolved, (entry, unresolved)
+
+
+def test_warm_family_list_is_every_kernel_family():
+    cases, _ = _kernel_cases()
+    assert [entry for entry, _ in cases] == list(compile_mod.KERNEL_FAMILIES)
+
+
+def _families(circuit):
+    return {
+        compile_mod.classify_propagator(prop)
+        for prop in compile_circuit(circuit).propagators
+    } - {None}
+
+
+def test_warm_family_list_holds_every_family_the_solver_meets():
+    """The fork server generates :data:`KERNEL_FAMILIES` before it forks
+    any child; a family missing from the list would be generated again
+    after every fork.  Every registry problem a worker can rebuild, with
+    and without ``rtl.optimize``, and a sample of generated circuits."""
+    met = set()
+    for case in available_cases():
+        for kind in ("instance", "base", "step"):
+            circuit, _ = build_problem(ProblemSpec(kind, case, 3))
+            met |= _families(circuit) | _families(optimize(circuit))
+    for seed in range(30):
+        met |= _families(random_combinational_circuit(seed))
+        unrolled = make_bmc_instance(
+            random_sequential_circuit(seed), random_safety_property(), 3
+        ).circuit
+        met |= _families(unrolled) | _families(optimize(unrolled))
+    missing = met - set(compile_mod.KERNEL_FAMILIES)
+    assert met and not missing, missing
 
 
 # ----------------------------------------------------------------------

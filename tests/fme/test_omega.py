@@ -147,6 +147,27 @@ class TestOmegaSolver:
             is None
         )
 
+    def test_interrupt_runs_during_search_and_ends_it(self):
+        # x + y <= 7 over 0..100 with x != y needs search; an
+        # interrupt that raises on its third call ends the search.
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def interrupt():
+            calls.append(None)
+            if len(calls) == 3:
+                raise Stop()
+
+        constraints = [LinearConstraint.le({0: 1, 1: 1}, 7)]
+        diseqs = [LinearConstraint.eq({0: 1, 1: -1}, 0)]
+        bounds = {0: (0, 100), 1: (0, 100)}
+        assert OmegaSolver().solve(constraints, bounds, diseqs) is not None
+        with pytest.raises(Stop):
+            OmegaSolver(interrupt=interrupt).solve(constraints, bounds, diseqs)
+        assert len(calls) == 3
+
     def test_non_unit_equality_solved(self):
         # 2x + 4y == 10 with tight bounds.
         solver = OmegaSolver()

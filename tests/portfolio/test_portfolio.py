@@ -22,7 +22,7 @@ import pytest
 
 from repro import procs
 from repro.bmc import input_trace_from_model, make_bmc_instance
-from repro.core import SolverConfig, Status, solve_circuit
+from repro.core import SolverConfig, SolverSession, Status, solve_circuit
 from repro.core.hdpll import HdpllSolver, luby
 from repro.errors import SolverError
 from repro.harness.parallel import Task, run_tasks
@@ -44,6 +44,7 @@ from repro.portfolio import (
     solve_portfolio,
     worker_config,
 )
+from repro.portfolio.worker import CubeCancelled
 from repro.rtl.simulate import SequentialSimulator
 
 _NUM_SEEDS = 40
@@ -465,6 +466,60 @@ def test_all_workers_crashing_reports_why():
             timeout=120.0,
             crash_cubes={0: tuple(range(len(cubes)))},
         )
+
+
+# ----------------------------------------------------------------------
+# FME leaf checks hear the deadline and the worker
+# ----------------------------------------------------------------------
+
+
+def _leaf_bound_session():
+    """b01_1(50) under worker 1's configuration (structural decisions,
+    Luby restarts, no learning): the whole query, the root cube, sits
+    in one FME leaf check that runs for many seconds."""
+    circuit, assumptions = build_problem(ProblemSpec("instance", "b01_1", 50))
+    return SolverSession(circuit, worker_config(SolverConfig(), 1)), assumptions
+
+
+def test_leaf_check_ends_at_the_solve_deadline():
+    session, assumptions = _leaf_bound_session()
+    begin = time.perf_counter()
+    result = session.solve(assumptions, timeout=1.0)
+    elapsed = time.perf_counter() - begin
+    assert result.status is Status.UNKNOWN
+    assert "timeout" in result.note
+    assert result.stats.fme_checks >= 1
+    assert elapsed < 5.0
+
+
+class _CancelInLeafCheck:
+    """A share hook whose ``drain`` -- called only inside a leaf check --
+    delivers a cancel of cube 0, as a worker's pipe would."""
+
+    def __init__(self):
+        self.drained = 0
+
+    def export(self, clause):
+        pass
+
+    def poll(self):
+        return ()
+
+    def drain(self):
+        self.drained += 1
+        raise CubeCancelled(0)
+
+
+def test_cube_cancel_ends_a_leaf_check_and_the_session_lives_on():
+    session, assumptions = _leaf_bound_session()
+    channel = _CancelInLeafCheck()
+    session.solver.share = channel
+    with pytest.raises(CubeCancelled):
+        session.solve(assumptions, timeout=30.0)
+    assert channel.drained == 1
+    assert session.solver.store.decision_level == 0
+    session.solver.share = None
+    assert session.solve(assumptions, timeout=0.5).status is Status.UNKNOWN
 
 
 # ----------------------------------------------------------------------

@@ -31,11 +31,53 @@ needs_forkserver = pytest.mark.skipif(
 )
 
 
+def _cold_families():
+    """Kernel families this process would still have to generate (None
+    when the kernel compiler was never imported)."""
+    compile_mod = sys.modules.get("repro.constraints.compile")
+    if compile_mod is None:
+        return None
+    return [
+        repr(family)
+        for family in compile_mod.KERNEL_FAMILIES
+        if family not in compile_mod._KERNEL_FACTORIES
+    ]
+
+
 def _report(conn):
     conn.send(
         {
             "ppid": os.getppid(),
             "preloaded": [name for name in procs.PRELOAD if name in sys.modules],
+            "cold_families": _cold_families(),
+        }
+    )
+    conn.close()
+
+
+def _build_learn_and_solve(conn):
+    """What a cube worker does after its fork: rebuild a registry
+    problem, learn and solve it.  Reports the modules this imported and
+    the kernel families it generated."""
+    modules = set(sys.modules)
+    compile_mod = sys.modules.get("repro.constraints.compile")
+    families = set(getattr(compile_mod, "_KERNEL_FACTORIES", ()))
+    from repro.core import SolverConfig, SolverSession
+    from repro.portfolio import ProblemSpec, build_problem, worker_config
+
+    circuit, assumptions = build_problem(ProblemSpec("instance", "b13_1", 20))
+    session = SolverSession(circuit, worker_config(SolverConfig(), 4))
+    session.learn(None)
+    status = session.solve(assumptions).status.value
+    compile_mod = sys.modules["repro.constraints.compile"]
+    conn.send(
+        {
+            "status": status,
+            "imported": sorted(set(sys.modules) - modules),
+            "generated": sorted(
+                repr(family)
+                for family in set(compile_mod._KERNEL_FACTORIES) - families
+            ),
         }
     )
     conn.close()
@@ -47,11 +89,11 @@ def _ignore_sigterm_and_sleep(conn):
     time.sleep(60.0)
 
 
-def _start_and_report(context):
+def _start_and_report(context, target=_report):
     """Start one child that reports its parent pid and preloaded
-    modules; returns the report."""
+    modules (or runs another reporting ``target``); returns the report."""
     receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(target=_report, args=(sender,), daemon=True)
+    process = context.Process(target=target, args=(sender,), daemon=True)
     process.start()
     sender.close()
     try:
@@ -71,6 +113,18 @@ def test_children_fork_from_the_preloaded_server():
     assert report["ppid"] != os.getpid()
     assert report["ppid"] == forkserver._forkserver._forkserver_pid
     assert report["preloaded"] == list(procs.PRELOAD)
+    assert report["cold_families"] == []
+
+
+@needs_forkserver
+def test_a_forked_worker_imports_nothing_and_generates_no_kernels():
+    """The fork server's preload has done all of a cube worker's
+    one-time work: a child that builds, learns and solves a registry
+    instance imports no module and generates no kernel family."""
+    report = _start_and_report(procs.context(), _build_learn_and_solve)
+    assert report["status"] == "unsat"
+    assert report["imported"] == []
+    assert report["generated"] == []
 
 
 #: Run in a fresh interpreter that reaches ``repro`` only through a
@@ -108,7 +162,9 @@ def test_server_launch_gets_package_root_and_preloads(caller_path):
     """The server is launched once, with the package root first on its
     ``PYTHONPATH``, so its preload works although the stdlib's server
     ignores the caller's ``sys.path``; the caller's environment is left
-    as it was."""
+    as it was.  The child inherits every kernel family: the stdlib's
+    server swallows a preload's ``ImportError``, so a broken preload
+    would show only here."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     if caller_path is not None:
         env["PYTHONPATH"] = caller_path
@@ -129,6 +185,7 @@ def test_server_launch_gets_package_root_and_preloads(caller_path):
     assert outcome["launches"] == [os.pathsep.join(expected)]
     assert outcome["environ_unchanged"]
     assert outcome["report"]["preloaded"] == list(procs.PRELOAD)
+    assert outcome["report"]["cold_families"] == []
 
 
 def test_spawn_where_the_platform_has_no_fork_server(monkeypatch):
