@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import SolverConfig
 from repro.core.hdpll import solve_circuit
@@ -89,6 +89,64 @@ def _fill_depth(entry: Dict[str, object], kind: str, result) -> None:
     )
 
 
+def induction_loop(
+    max_k: int,
+    timeout: Optional[float],
+    query: Callable[[str, int, Optional[float]], SolverResult],
+) -> InductionResult:
+    """The k-induction depth loop, over any way of answering its queries.
+
+    ``query(kind, k, budget)`` answers the ``"base"`` or ``"step"``
+    query at depth ``k`` within ``budget`` seconds (None: the solver's
+    own limit); ``timeout`` bounds the whole run.
+    """
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    result = InductionResult(status=InductionStatus.UNDECIDED)
+
+    def ask(kind: str, k: int, seconds: List[float], depth) -> SolverResult:
+        budget = (
+            max(0.0, deadline - time.monotonic())
+            if deadline is not None
+            else None
+        )
+        start = time.monotonic()
+        answer = query(kind, k, budget)
+        seconds.append(time.monotonic() - start)
+        _fill_depth(depth, kind, answer)
+        return answer
+
+    for k in range(1, max_k + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            result.note = f"timeout before depth {k}"
+            return result
+        depth = _depth_entry(k)
+        result.depth_stats.append(depth)
+
+        # Base case: no violation at depth exactly k.
+        base = ask("base", k, result.base_seconds, depth)
+        if base.status is Status.UNKNOWN:
+            result.note = f"base case budget exhausted at depth {k}"
+            return result
+        if base.is_sat:
+            result.status = InductionStatus.VIOLATED
+            result.k = k
+            result.counterexample = base.model
+            return result
+
+        # Inductive step: ok in frames 0..k-1 (free start) forces ok in
+        # frame k.
+        step = ask("step", k, result.step_seconds, depth)
+        if step.status is Status.UNKNOWN:
+            result.note = f"inductive step budget exhausted at depth {k}"
+            return result
+        if step.is_unsat:
+            result.status = InductionStatus.PROVED
+            result.k = k
+            return result
+    result.note = f"not inductive up to k = {max_k}"
+    return result
+
+
 def prove_by_induction(
     circuit: Circuit,
     prop: SafetyProperty,
@@ -110,52 +168,15 @@ def prove_by_induction(
         return _prove_parallel(
             case, max_k=max_k, config=config, timeout=timeout, jobs=jobs
         )
-    deadline = time.monotonic() + timeout if timeout is not None else None
-
-    def remaining() -> Optional[float]:
-        if deadline is None:
-            return config.timeout
-        return max(0.0, deadline - time.monotonic())
-
-    result = InductionResult(status=InductionStatus.UNDECIDED)
     base_session = BmcSession(circuit, prop, config, base=True)
     step_session = BmcSession(circuit, prop, config, base=False)
-    for k in range(1, max_k + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            result.note = f"timeout before depth {k}"
-            return result
-        depth = _depth_entry(k)
-        result.depth_stats.append(depth)
 
-        # Base case: no violation at depth exactly k.
-        start = time.monotonic()
-        base = base_session.solve_bound(k, timeout=remaining())
-        result.base_seconds.append(time.monotonic() - start)
-        _fill_depth(depth, "base", base)
-        if base.status is Status.UNKNOWN:
-            result.note = f"base case budget exhausted at depth {k}"
-            return result
-        if base.is_sat:
-            result.status = InductionStatus.VIOLATED
-            result.k = k
-            result.counterexample = base.model
-            return result
+    def query(kind: str, k: int, budget: Optional[float]) -> SolverResult:
+        if kind == "base":
+            return base_session.solve_bound(k, timeout=budget)
+        return step_session.solve_step(k, timeout=budget)
 
-        # Inductive step: ok in frames 0..k-1 (free start) forces ok in
-        # frame k.
-        start = time.monotonic()
-        step = step_session.solve_step(k, timeout=remaining())
-        result.step_seconds.append(time.monotonic() - start)
-        _fill_depth(depth, "step", step)
-        if step.status is Status.UNKNOWN:
-            result.note = f"inductive step budget exhausted at depth {k}"
-            return result
-        if step.is_unsat:
-            result.status = InductionStatus.PROVED
-            result.k = k
-            return result
-    result.note = f"not inductive up to k = {max_k}"
-    return result
+    return induction_loop(max_k, timeout, query)
 
 
 # ----------------------------------------------------------------------

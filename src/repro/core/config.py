@@ -39,20 +39,15 @@ class SolverConfig:
     max_conflicts: Optional[int] = None
     #: Conflicts before the first restart; 0 disables restarts.
     restart_interval: int = 256
-    #: Geometric growth factor of the restart interval.
-    restart_multiplier: float = 1.5
-    #: Restart schedule: ``"geometric"`` grows the interval by
-    #: ``restart_multiplier`` after every restart; ``"luby"`` follows the
-    #: Luby et al. sequence (1,1,2,1,1,2,4,...) scaled by
-    #: ``restart_interval`` — the portfolio layer diversifies workers
-    #: across both.
+    #: Restart schedule: ``"geometric"`` grows the interval by half
+    #: after every restart; ``"luby"`` follows the Luby et al. sequence
+    #: (1,1,2,1,1,2,4,...) scaled by ``restart_interval`` — the
+    #: portfolio layer diversifies workers across both.
     restart_strategy: str = "geometric"
     #: Value tried first on a fresh decision variable.
     default_phase: int = 1
     #: Activity decay applied after each conflict (VSIDS-style).
     activity_decay: float = 0.95
-    #: Verify SAT models against the concrete simulator (cheap insurance).
-    verify_models: bool = True
     #: Branch budget for each Omega leaf call.
     omega_branch_budget: int = 200_000
     #: Strengthened mux backward rule in Ddeduce (ablation knob; the
@@ -61,9 +56,6 @@ class SolverConfig:
     #: Export Section 4.4 phase hints from static learning (ablation
     #: knob; hurts counterexample search, see predlearn docs).
     learned_phase_hints: bool = False
-    #: Reduce the learned-clause database (drop the worse half of the
-    #: local tier) every this many learned clauses; 0 disables reduction.
-    clause_db_reduce_interval: int = 4000
     #: Hard cap on disposable learned clauses kept by long-lived solver
     #: sessions; LBD/activity-tiered eviction (core and reason clauses
     #: are never evicted) kicks in above it.  0 disables the cap.
@@ -72,15 +64,6 @@ class SolverConfig:
     #: literals whose trail events are implied (through the implication
     #: graph) by the remaining literals and level-0 facts.
     clause_minimization: bool = True
-    #: Learned clauses with LBD at or below this live in the *core* tier
-    #: of the clause database and are never evicted ("glue" clauses).
-    clause_db_core_lbd: int = 2
-    #: LBD ceiling of the *mid* tier; above it a learned clause starts in
-    #: the eviction-eligible *local* tier.
-    clause_db_mid_lbd: int = 6
-    #: Database reductions a mid-tier clause may sit through without its
-    #: activity moving before it is demoted to the local tier.
-    clause_db_mid_staleness: int = 2
     #: Propagation inner-loop implementation: ``"specialized"``
     #: (generated per-propagator kernels, compiled once per family per
     #: process) or ``"reference"`` (the test oracle — dynamic dispatch

@@ -66,6 +66,11 @@ _ASSUMPTION_REFUTED = object()
 
 #: Recognised ``SolverConfig.restart_strategy`` values.
 RESTART_STRATEGIES = ("geometric", "luby")
+#: Growth factor of the geometric restart interval.
+RESTART_MULTIPLIER = 1.5
+#: Reduce the learned-clause database (drop the worse half of the local
+#: tier) every this many learned clauses.
+CLAUSE_DB_REDUCE_INTERVAL = 4000
 
 
 def luby(index: int) -> int:
@@ -126,10 +131,6 @@ class HdpllSolver:
         self.engine = PropagationEngine(
             self.store, self.system.propagators, impl=self.config.engine_impl
         )
-        clause_db = self.engine.clause_db
-        clause_db.core_lbd_max = self.config.clause_db_core_lbd
-        clause_db.mid_lbd_max = self.config.clause_db_mid_lbd
-        clause_db.mid_staleness = self.config.clause_db_mid_staleness
         if self._prof is not None:
             self.engine.enable_timing()
         self.order = ActivityOrder(
@@ -598,9 +599,7 @@ class HdpllSolver:
                         self.stats.restarts + 1
                     )
                 else:
-                    restart_budget = int(
-                        restart_budget * self.config.restart_multiplier
-                    )
+                    restart_budget = int(restart_budget * RESTART_MULTIPLIER)
                 if tracer is not None:
                     tracer.event(
                         "restart",
@@ -769,8 +768,7 @@ class HdpllSolver:
         self.stats.registry.histogram("learned_clause_size").observe(
             len(clause.literals)
         )
-        interval = self.config.clause_db_reduce_interval
-        if interval and self.stats.learned_clauses % interval == 0:
+        if self.stats.learned_clauses % CLAUSE_DB_REDUCE_INTERVAL == 0:
             self.engine.clause_db.reduce_learned()
         cap = self.config.clause_db_max_learned
         if cap and self.stats.learned_clauses % 512 == 0:
@@ -915,21 +913,18 @@ class HdpllSolver:
             var = self.system.var(net)
             input_values[net.name] = witness[var.index]
         model = simulate_combinational(self.circuit, input_values)
-        if self.config.verify_models or not strict:
-            for name, value in assumptions.items():
-                interval = (
-                    value
-                    if isinstance(value, Interval)
-                    else Interval.point(value)
-                )
-                actual = model[name]
-                if actual not in interval:
-                    if strict:
-                        raise SolverError(
-                            f"model verification failed: {name} = {actual} "
-                            f"not in {interval}"
-                        )
-                    return None
+        for name, value in assumptions.items():
+            interval = (
+                value if isinstance(value, Interval) else Interval.point(value)
+            )
+            actual = model[name]
+            if actual not in interval:
+                if strict:
+                    raise SolverError(
+                        f"model verification failed: {name} = {actual} "
+                        f"not in {interval}"
+                    )
+                return None
         return model
 
     # ------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Distributed cube-and-conquer (PR 9).
+"""Distributed cube-and-conquer: the cube hub and its worker hosts.
 
 A :class:`~repro.dist.hub.CubeHub` owns one query's cube list and
 serves it over NDJSON sockets to worker hosts
 (:func:`~repro.dist.worker.run_worker_host`), each running a local pool
 of diversified portfolio workers.  Learned clauses flow host-to-host
-through the hub's LBD filter; lost hosts' cubes are requeued.
-:func:`~repro.dist.run.solve_dist` is the single-machine driver the
+through the hub's LBD filter; lost hosts' and workers' cubes are
+requeued.  The hub schedules every multi-process solve:
+:func:`~repro.dist.run.run_hosts` attaches in-process hosts to it over
+socketpairs, one for the local portfolio and several for
+:func:`~repro.dist.run.solve_dist`, the single-machine driver the
 benchmarks use; ``repro-hdpll dist-serve`` / ``dist-work`` are the
 multi-machine CLI (see ``docs/distributed.md``).
 """

@@ -1,11 +1,16 @@
-"""Distributed cube hub: a work-stealing queue over NDJSON sockets.
+"""The cube hub: a work-stealing queue over NDJSON sockets.
 
-The hub owns one query's cube list and serves it to *worker hosts* —
-processes (typically on other machines) that each run a local pool of
-diversified portfolio workers and pull cubes as their workers free up.
-Framing reuses the solver daemon's wire format
-(:mod:`repro.serve.protocol`): one UTF-8 JSON object per line, over a
-UNIX or TCP socket.  The protocol is strictly worker-driven
+The hub owns one query's cube list and serves it to *worker hosts*,
+each of which runs a local pool of diversified portfolio workers and
+pulls cubes as its workers free up.  It is the one cube scheduler of
+every multi-process solve: the local portfolio is a one-host hub, and
+``solve_dist`` runs several hosts; both attach their hosts in-process
+over a ``socketpair`` (:meth:`CubeHub.attach`, driven by
+:func:`repro.dist.run.run_hosts`).  ``dist-serve`` instead listens on a
+UNIX or TCP socket (:meth:`CubeHub.start`) for ``dist-work`` hosts,
+typically on other machines.  Framing reuses the solver daemon's wire
+format (:mod:`repro.serve.protocol`): one UTF-8 JSON object per line.
+The protocol is strictly worker-driven
 request/response — the hub never pushes — so a host behind NAT or an
 SSH tunnel works unmodified, and every response piggy-backs the pending
 broadcast state (relayed clause batches, decided cubes, stop flag).
@@ -19,29 +24,38 @@ Operations (``op`` selects the handler; all responses carry ``ok``):
                across hosts) and carries the :class:`ProblemSpec`
                fields plus the solver configuration, so hosts need no
                out-of-band problem distribution.
-``pull``       request a cube; the response carries ``cube`` (index,
-               assumptions, remaining timeout), ``wait`` (nothing for
-               this host right now — in-flight cubes may still
-               requeue), or ``stop`` (verdict settled).
-``result``     report a cube verdict (first report wins; duplicates
-               are dropped).
-``lost``       hand back a cube (``cube``) whose local worker died
-               mid-solve; it is released like a lost host's cube.
+``pull``       request a cube for the idle local worker ``worker``
+               (its global index); the response carries ``cube``
+               (index, assumptions, remaining timeout), ``wait``
+               (nothing for this worker right now — in-flight cubes
+               may still requeue), or ``stop`` (verdict settled).
+``result``     report worker ``worker``'s verdict on ``cube`` (first
+               report wins; duplicates are dropped).
+``lost``       hand back the cube ``cube`` whose local worker
+               ``worker`` died mid-solve; it is released like a lost
+               host's cube.
 ``clauses``    upload learned-clause payload batches; the hub admits
                them through an LBD filter and relays them to every
                other host.
 ``heartbeat``  renew this host's cube leases.
 =============  =======================================================
 
+A ``result`` or ``lost`` naming no cube of the query, or a ``result``
+whose status is not ``sat``, ``unsat`` or ``unknown``, gets an error
+response and leaves the cube state untouched.
+
 Every pulled cube carries a *lease*: a deadline renewed by any request
 from the holding host.  A host that goes silent past its lease — or
-whose connection drops — loses its cubes back to the queue.
+whose connection drops — loses the cubes of every one of its workers
+back to the queue.
 
 The hub keeps its cubes in a :class:`~repro.portfolio.ledger.CubeLedger`
-with host ids as holders, under the hub lock; the ledger's docstring
-states the contract (least-covered duplicates, first report wins, the
-verdict rule, requeue once then fail) that this transport shares with
-the in-process pool.
+under the hub lock, with one holder per worker: ``(host id, global
+worker index)``.  So once the queue drains, an idle worker gets a
+duplicate of a cube its sibling on the same host is solving, as it
+would from any other host.  The ledger's docstring states the contract
+(least-covered duplicates, first report wins, the verdict rule, requeue
+once then fail) that this hub shares with the inline portfolio.
 """
 
 from __future__ import annotations
@@ -54,7 +68,6 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import SolverConfig
-from repro.errors import SolverError
 from repro.portfolio.cubes import Cube
 from repro.portfolio.ledger import (
     SHARE_KEYS,
@@ -62,6 +75,7 @@ from repro.portfolio.ledger import (
     CubeOutcome,
     CubeResult,
 )
+from repro.portfolio.pool import PortfolioError
 from repro.portfolio.share import DEFAULT_MAX_LBD, clause_payload_key
 from repro.portfolio.worker import ProblemSpec
 from repro.serve.protocol import (
@@ -84,8 +98,13 @@ DEFAULT_LEASE_S = 30.0
 _RELAY_CHUNK = 64
 
 
-class DistError(SolverError):
-    """Unrecoverable distributed-solve failure."""
+#: The statuses a ``result`` may report.
+_STATUSES = ("sat", "unsat", "unknown")
+
+
+class DistError(PortfolioError):
+    """Unrecoverable cube-solve failure: a cube lost twice, every host
+    gone, or a broken hub conversation."""
 
 
 class _Host:
@@ -97,6 +116,7 @@ class _Host:
         "clause_cursor",
         "decided_cursor",
         "last_seen",
+        "workers",
     )
 
     def __init__(self, host_id, name, slots, base_index):
@@ -110,16 +130,23 @@ class _Host:
         #: been told about.
         self.decided_cursor = 0
         self.last_seen = time.monotonic()
+        #: Global indices of the workers that have pulled; each is a
+        #: holder of the ledger.
+        self.workers: Set[int] = set()
+
+    def holders(self) -> List[Tuple[str, int]]:
+        return [(self.host_id, worker) for worker in self.workers]
 
 
 class CubeHub:
-    """The distributed cube queue (see module docstring).
+    """The cube queue (see module docstring).
 
     Construct with the query (problem spec, cube list, base config),
-    :meth:`start` a listener, hand the address to worker hosts, then
-    :meth:`wait` for the verdict.  Thread-based: one listener thread
-    plus one handler thread per connected host — host counts are
-    single digits, so threads beat an event loop on simplicity.
+    :meth:`attach` in-process hosts or :meth:`start` a listener for
+    remote ones, then :meth:`wait` for the verdict.  Thread-based: one
+    handler thread per connected host (plus the listener's) — host
+    counts are single digits, so threads beat an event loop on
+    simplicity.
     """
 
     def __init__(
@@ -142,7 +169,8 @@ class CubeHub:
         self._deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        self._timeout = timeout
+        #: Seconds the query may take (None = no limit).
+        self.timeout = timeout
 
         self._lock = threading.Lock()
         self._ledger = CubeLedger(len(self.cubes), root_index)
@@ -192,6 +220,14 @@ class CubeHub:
         logger.info("dist hub: listening on %s", self.address)
         return self.address
 
+    def attach(self) -> socket.socket:
+        """Connect one in-process host: returns its end of a new
+        socketpair, whose other end the hub serves like an accepted
+        connection."""
+        host_end, hub_end = socket.socketpair()
+        self._serve(hub_end)
+        return host_end
+
     def wait(self, timeout: Optional[float] = None) -> Optional[CubeResult]:
         """Block until the verdict settles; returns the
         :class:`CubeResult`, or ``None`` if ``timeout`` elapsed with the
@@ -226,7 +262,10 @@ class CubeHub:
         return self._result
 
     def close(self) -> None:
-        """Stop accepting and hang up on every host: a host sees its
+        """Stop accepting and hang up on every host.  Each connection's
+        handler stops reading, sends the response it may still owe (the
+        one to the report that settled the verdict carries ``stop`` and
+        the last ``decided`` cubes), and closes.  A host sees its
         connection drop at once, even while it waits on its workers,
         and stops them as a ``stop`` would make it."""
         self._closing = True
@@ -238,7 +277,7 @@ class CubeHub:
         with self._lock:
             for conn in self._conns:
                 try:
-                    conn.shutdown(socket.SHUT_RDWR)
+                    conn.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
 
@@ -258,15 +297,18 @@ class CubeHub:
                 continue
             except OSError:
                 return
-            with self._lock:
-                self._conns.add(conn)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="dist-hub-conn",
-                daemon=True,
-            )
-            thread.start()
+            self._serve(conn)
+
+    def _serve(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._conns.add(conn)
+        thread = threading.Thread(
+            target=self._serve_connection,
+            args=(conn,),
+            name="dist-hub-conn",
+            daemon=True,
+        )
+        thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         host_id: Optional[str] = None
@@ -329,10 +371,9 @@ class CubeHub:
             elif op == "heartbeat":
                 response = {"id": request.get("id"), "ok": True}
             else:
-                return (
-                    error_response(request, f"unknown op {op!r}"),
-                    host_id,
-                )
+                response = error_response(request, f"unknown op {op!r}")
+            if not response["ok"]:
+                return response, host_id
             self._maybe_settle()
             self._augment(response, host)
             return response, host_id
@@ -366,11 +407,28 @@ class CubeHub:
         self._augment(response, host)
         return response, host_id
 
+    def _holder(self, request, host: _Host) -> Tuple[str, int]:
+        """The ledger holder a request speaks for: its ``worker``."""
+        worker = int(request.get("worker", host.base_index))
+        host.workers.add(worker)
+        return host.host_id, worker
+
+    def _cube_index(self, request) -> Optional[int]:
+        """The request's ``cube``, or None when no cube has that index."""
+        index = request.get("cube")
+        if (
+            isinstance(index, int)
+            and not isinstance(index, bool)
+            and 0 <= index < len(self.cubes)
+        ):
+            return index
+        return None
+
     def _op_pull(self, request, host: _Host):
         response: Dict[str, object] = {"id": request.get("id"), "ok": True}
         if self._settled.is_set() or self._past_deadline():
             return response  # _augment stamps stop
-        index = self._ledger.next_cube(host.host_id)
+        index = self._ledger.next_cube(self._holder(request, host))
         if index is None:
             response["wait"] = True
             return response
@@ -384,18 +442,26 @@ class CubeHub:
         return response
 
     def _op_result(self, request, host: _Host):
+        index = self._cube_index(request)
+        if index is None:
+            return error_response(request, f"no cube {request.get('cube')!r}")
+        status = request.get("status")
+        if status not in _STATUSES:
+            return error_response(request, f"bad status {status!r}")
         model = request.get("model")
         share = request.get("share")
-        # Duplicate holders on other hosts learn of the decision from
-        # the ``decided`` list on their next response.
+        holder = self._holder(request, host)
+        # Duplicate holders, on this host or another, learn of the
+        # decision from the ``decided`` list on their host's next
+        # response.
         self._ledger.record(
-            host.host_id,
+            holder,
             CubeOutcome(
-                index=int(request["cube"]),
-                status=str(request["status"]),
+                index=index,
+                status=status,
                 model=dict(model) if isinstance(model, dict) else None,
                 stats=dict(request.get("stats") or {}),
-                worker=int(request.get("worker", host.base_index)),
+                worker=holder[1],
                 host=host.host_id,
             ),
             {key: int(share.get(key, 0)) for key in SHARE_KEYS}
@@ -405,9 +471,14 @@ class CubeHub:
         return {"id": request.get("id"), "ok": True}
 
     def _op_lost(self, request, host: _Host):
-        index = int(request["cube"])
+        index = self._cube_index(request)
+        if index is None:
+            return error_response(request, f"no cube {request.get('cube')!r}")
+        holder = self._holder(request, host)
         self._release(
-            host, f"host {host.host_id} lost its worker on cube {index}", [index]
+            f"host {host.host_id} lost worker {holder[1]} on cube {index}",
+            [holder],
+            [index],
         )
         return {"id": request.get("id"), "ok": True}
 
@@ -464,14 +535,13 @@ class CubeHub:
     def _sweep_leases(self) -> None:
         now = time.monotonic()
         for host in list(self._hosts.values()):
-            if (
-                now - host.last_seen > self.lease_s
-                and self._ledger.held(host.host_id)
+            if now - host.last_seen > self.lease_s and any(
+                self._ledger.held(holder) for holder in host.holders()
             ):
                 self._release(
-                    host,
                     f"host {host.host_id} lease expired "
                     f"({now - host.last_seen:.1f}s silent)",
+                    host.holders(),
                 )
 
     def _drop_host(self, host_id: str, reason: str) -> None:
@@ -479,24 +549,25 @@ class CubeHub:
         if host is None:
             return
         logger.info("dist hub: host %s left (%s)", host_id, reason)
-        self._release(host, reason)
+        self._release(f"host {host_id} left ({reason})", host.holders())
 
     def _release(
         self,
-        host: _Host,
         reason: str,
+        holders: Iterable[Tuple[str, int]],
         cubes: Optional[Iterable[int]] = None,
     ) -> None:
+        """Take ``cubes`` (default: all they hold) back from
+        ``holders``; a cube lost for the second time fails the solve."""
         requeues = self._ledger.requeues
-        lost = self._ledger.release(host.host_id, cubes)
-        if lost is not None:
-            self._settle(
-                "unknown",
-                failure=(
-                    f"cube {lost} lost twice to host failures ({reason})"
-                ),
-            )
-        elif self._ledger.requeues > requeues:
+        for holder in holders:
+            lost = self._ledger.release(holder, cubes)
+            if lost is not None:
+                self._settle(
+                    "unknown", failure=f"cube {lost} lost twice ({reason})"
+                )
+                return
+        if self._ledger.requeues > requeues:
             logger.info(
                 "dist hub: requeued %d cube(s) (%s)",
                 self._ledger.requeues - requeues,
@@ -510,12 +581,7 @@ class CubeHub:
         if verdict is not None:
             self._settle(verdict)
         elif self._past_deadline():
-            note = (
-                f"dist timeout after {self._timeout:.1f}s"
-                if self._timeout is not None
-                else "dist timeout"
-            )
-            self._settle("unknown", note=note)
+            self._settle("unknown", note=f"timeout after {self.timeout:.1f}s")
 
     def _settle(
         self, status: str, note: str = "", failure: Optional[str] = None

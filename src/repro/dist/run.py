@@ -1,11 +1,19 @@
-"""Distributed cube-and-conquer driver: one query, many hosts.
+"""Cube-and-conquer drivers on a cube hub: one query, many hosts.
+
+:func:`run_hosts` is the harness of every in-process multi-process
+solve.  It attaches ``hosts`` worker hosts to a
+:class:`~repro.dist.hub.CubeHub`, each a daemon thread of the caller
+that talks to the hub over a socketpair (:meth:`CubeHub.attach`) and
+runs ``jobs`` solver workers (:func:`~repro.dist.worker.run_worker_host`),
+forked from the caller's preloaded fork server (:mod:`repro.procs`).
+It then waits for the verdict, closes the hub and joins the hosts.
+The local portfolio (:func:`repro.portfolio.solve.solve_portfolio`) is
+one such host; :func:`solve_dist` runs several.
 
 :func:`solve_dist` is the single-query API (and what the ``dist-1h`` /
 ``dist-2h`` bench engines call): it generates cubes exactly like
-:func:`repro.portfolio.solve.solve_portfolio`, starts a
-:class:`~repro.dist.hub.CubeHub` on a UNIX socket, runs ``hosts`` worker
-hosts against it (each starting ``jobs`` local solver workers), and
-interprets the hub's verdict as a
+:func:`~repro.portfolio.solve.solve_portfolio`, serves them from a hub
+to ``hosts`` hosts, and interprets the verdict as a
 :class:`~repro.core.result.SolverResult` through the same
 :func:`~repro.portfolio.solve.cube_solver_result` as the local
 portfolio — including the mandatory simulator replay of any SAT model.
@@ -13,23 +21,17 @@ portfolio — including the mandatory simulator replay of any SAT model.
 interpret.
 
 On a real deployment the hub and the hosts live on different machines
-(see ``docs/distributed.md``), and each host is a ``dist-work``
-process.  This driver is the single-machine harness the benchmarks and
-tests use, so its hosts are daemon threads of the caller, and their
-solver workers fork from the caller's preloaded fork server
-(:mod:`repro.procs`); the wire protocol between hub and hosts is
-byte-identical either way.
+(see ``docs/distributed.md``): ``dist-serve`` listens on a socket and
+each host is a ``dist-work`` process.  The wire protocol between hub and
+hosts is byte-identical either way.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import shutil
-import tempfile
 import threading
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import SolverConfig
 from repro.core.result import SolverResult
@@ -48,6 +50,78 @@ _SETTLE_GRACE = 10.0
 #: host sees the closed hub hang up at once, then gives its workers the
 #: stop and SIGTERM graces (1 s each).
 _STOP_WAIT = 5.0
+
+
+def run_hosts(
+    hub: CubeHub,
+    hosts: int,
+    jobs: int,
+    crash_hosts: int = 0,
+    **host_options,
+) -> CubeResult:
+    """Solve ``hub``'s cubes on ``hosts`` in-process worker hosts of
+    ``jobs`` workers each, and return the hub's verdict.
+
+    ``host_options`` go to every :func:`run_worker_host` (``optimize``,
+    ``telemetry`` and the per-worker test hooks).  ``crash_hosts`` is
+    the requeue test hook: that many hosts crash every worker on its
+    first cube, and the hub must requeue their cubes onto the others.
+    A cube lost twice raises :class:`DistError`; so does every host
+    dying before the verdict, with the last host's error.
+    """
+    failures: List[Exception] = []
+
+    def host_main(index: int, conn) -> None:
+        options = dict(host_options)
+        if index < crash_hosts:
+            every_cube = tuple(range(len(hub.cubes)))
+            options["crash_cubes"] = {local: every_cube for local in range(jobs)}
+        try:
+            run_worker_host(conn, jobs, name=f"host-{index}", **options)
+        except Exception as error:  # noqa: BLE001 - the caller re-raises
+            # A failed host's cubes are the hub's to requeue.
+            logger.warning("dist host-%d: %s", index, error)
+            failures.append(error)
+
+    threads = []
+    try:
+        for index in range(hosts):
+            thread = threading.Thread(
+                target=host_main,
+                args=(index, hub.attach()),
+                daemon=True,
+                name=f"dist-host-{index}",
+            )
+            thread.start()
+            threads.append(thread)
+        deadline = (
+            time.monotonic() + hub.timeout + _SETTLE_GRACE
+            if hub.timeout is not None
+            else None
+        )
+        result = None
+        while result is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                return hub.abort("driver wait expired")
+            result = hub.wait(timeout=0.5)
+            if result is None and not any(t.is_alive() for t in threads):
+                # Give the hub one last sweep: the connection-drop
+                # handler may have settled a failure verdict already.
+                result = hub.wait(timeout=0.0)
+                if result is None:
+                    raise (
+                        failures[-1]
+                        if failures
+                        else DistError("all worker hosts died")
+                    )
+        if result.failure:
+            raise DistError(result.failure)
+        return result
+    finally:
+        hub.close()
+        stop_deadline = time.monotonic() + _STOP_WAIT
+        for thread in threads:
+            thread.join(max(0.0, stop_deadline - time.monotonic()))
 
 
 def solve_on_hub(
@@ -112,77 +186,15 @@ def solve_dist(
     ``hosts`` worker hosts each run ``jobs`` local solver workers;
     diversification indices are global, so a 2-host x 2-job run
     explores the same strategy spread as a 4-worker portfolio.
-    ``crash_hosts`` is the requeue test hook: that many of the hosts
-    run with the crash-on-first-assignment worker hook, dying as soon
-    as they take a cube — the hub must requeue their cubes onto the
-    surviving hosts without changing the verdict.
+    ``crash_hosts`` is :func:`run_hosts`' requeue test hook.
     """
     hosts = max(1, hosts)
     jobs = max(1, jobs)
-
-    def drive(hub: CubeHub) -> CubeResult:
-        tmpdir = tempfile.mkdtemp(prefix="repro-dist-")
-        threads = []
-        try:
-            address = hub.start(unix_path=os.path.join(tmpdir, "hub.sock"))
-            for index in range(hosts):
-                crash = (
-                    tuple(range(len(hub.cubes)))
-                    if index < crash_hosts
-                    else ()
-                )
-                thread = threading.Thread(
-                    target=_run_host,
-                    args=(address, jobs, f"host-{index}", crash),
-                    daemon=True,
-                    name=f"dist-host-{index}",
-                )
-                thread.start()
-                threads.append(thread)
-            deadline = (
-                time.monotonic() + timeout + _SETTLE_GRACE
-                if timeout is not None
-                else None
-            )
-            result = None
-            while result is None:
-                if deadline is not None and time.monotonic() >= deadline:
-                    return hub.abort("dist driver wait expired")
-                result = hub.wait(timeout=0.5)
-                if result is None and not any(
-                    t.is_alive() for t in threads
-                ):
-                    # Give the hub one last sweep: the connection-drop
-                    # handler may have settled a failure verdict already.
-                    result = hub.wait(timeout=0.0)
-                    if result is None:
-                        raise DistError("all dist worker hosts died")
-            return result
-        finally:
-            hub.close()
-            stop_deadline = time.monotonic() + _STOP_WAIT
-            for thread in threads:
-                thread.join(max(0.0, stop_deadline - time.monotonic()))
-            shutil.rmtree(tmpdir, ignore_errors=True)
-
     return solve_on_hub(
         ProblemSpec("instance", case, bound),
         hosts * jobs,
         None,
-        drive,
+        lambda hub: run_hosts(hub, hosts, jobs, crash_hosts=crash_hosts),
         base_config=base_config or SolverConfig(),
         timeout=timeout,
     )[0]
-
-
-def _run_host(
-    address: Tuple[str, object],
-    jobs: int,
-    name: str,
-    crash_cubes: Tuple[int, ...],
-) -> None:
-    """Worker-host thread body: a failed host is the hub's to requeue."""
-    try:
-        run_worker_host(address, jobs, name=name, crash_cubes=crash_cubes)
-    except (DistError, OSError) as error:
-        logger.warning("dist host %s: %s", name, error)

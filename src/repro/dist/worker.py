@@ -1,15 +1,19 @@
-"""Distributed worker host: a hub client driving a local worker pool.
+"""Worker host: a hub client driving a local worker pool.
 
-One worker host connects to a :class:`~repro.dist.hub.CubeHub`,
-introduces itself (``hello``), and starts ``jobs`` local solver workers
-in a :class:`~repro.portfolio.pool.WorkerPool`, the supervisor the
-in-process portfolio pool drives too.  They are diversified by their
-*global* worker index (the hub assigns each host a base index so
-rotations never collide across hosts).  This module keeps only the hub
-conversation:
+One worker host talks to a :class:`~repro.dist.hub.CubeHub`, introduces
+itself (``hello``), and starts ``jobs`` local solver workers in a
+:class:`~repro.portfolio.pool.WorkerPool`.  They are diversified by
+their *global* worker index (the hub assigns each host a base index so
+rotations never collide across hosts).  Every multi-process solve runs
+its workers through this loop: the local portfolio is one host, and
+``solve_dist`` several, attached to their hub in-process over a
+socketpair (:func:`repro.dist.run.run_hosts`); a ``dist-work`` process
+is one host that connects over TCP or a UNIX socket.  This module
+keeps only the hub conversation:
 
-* an idle local worker triggers a ``pull`` (retried after a short pause
-  while the hub answers ``wait``), and the pulled cube goes to it;
+* an idle local worker triggers a ``pull`` naming it (retried after a
+  short pause while the hub answers ``wait``), and the pulled cube goes
+  to it;
 * a decided cube goes back as ``result``;
 * a clause batch a local worker exported (the pool has relayed it to
   the local peers already) is uploaded with ``clauses``; the hub relays
@@ -25,8 +29,9 @@ conversation:
   abandon decided cubes).
 
 The loop ends when the hub says ``stop`` (verdict settled) or hangs
-up (it does on close; the host waits on it with its workers' pipes),
-or every local worker has died.
+up (it does on close; the host waits on it with its workers' pipes).
+A host whose workers have all died raises :class:`DistError` with the
+reason the last one died.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import logging
 import socket
 import time
 from multiprocessing.connection import wait as connection_wait
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.core.config import SolverConfig
 from repro.dist.hub import DistError
@@ -49,25 +54,34 @@ from repro.serve.protocol import (
     encode,
 )
 
+if TYPE_CHECKING:
+    from repro.obs.telemetry import TelemetryHub
+
 logger = logging.getLogger(__name__)
 
 #: Seconds an idle host waits before retrying a ``wait``-answered pull.
 _PULL_RETRY = 0.2
 
 
+#: Where a host finds its hub: ``("unix", path)``, ``("tcp", (host,
+#: port))``, or a socket already connected to it (:meth:`CubeHub.attach`).
+HubAddress = Union[Tuple[str, object], socket.socket]
+
+
 class HubClient:
     """Blocking NDJSON request/response client for the hub socket."""
 
-    def __init__(self, address: Tuple[str, object]):
-        kind, target = address
-        if kind == "unix":
+    def __init__(self, address: HubAddress):
+        if isinstance(address, socket.socket):
+            sock = address
+        elif address[0] == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(str(target))
-        elif kind == "tcp":
-            host, port = target  # type: ignore[misc]
+            sock.connect(str(address[1]))
+        elif address[0] == "tcp":
+            host, port = address[1]  # type: ignore[misc]
             sock = socket.create_connection((str(host), int(port)))
         else:
-            raise ValueError(f"unknown hub address kind {kind!r}")
+            raise ValueError(f"unknown hub address kind {address[0]!r}")
         self._sock = sock
         self._reader = sock.makefile("rb")
 
@@ -102,18 +116,25 @@ class HubClient:
 
 
 def run_worker_host(
-    address: Tuple[str, object],
+    address: HubAddress,
     jobs: int,
     name: Optional[str] = None,
-    crash_cubes: Tuple[int, ...] = (),
+    optimize: bool = False,
+    crash_cubes: Optional[Dict[int, Tuple[int, ...]]] = None,
+    stall_cubes: Optional[Dict[int, Tuple[int, ...]]] = None,
+    stall_dir: Optional[str] = None,
+    telemetry: Optional["TelemetryHub"] = None,
 ) -> Dict[str, int]:
     """Run one worker host against the hub at ``address`` until the hub
     stops the solve; returns a small summary counter dict.
 
-    ``crash_cubes`` is the pool's crash-on-assignment test hook, applied
-    to every local worker — it makes the whole host die
-    deterministically on its first assignment, which is how the requeue
-    path is exercised end to end.
+    ``optimize`` runs ``rtl.optimize`` on each worker's rebuilt circuit.
+    ``telemetry`` (a TelemetryHub) gives every worker a clock-aligned
+    trace/metrics shard; the caller merges afterwards.  ``crash_cubes``
+    and ``stall_cubes`` map a local worker (0 to ``jobs - 1``) to the
+    cube indices of its :class:`WorkerSpec` test hooks: crashed cubes
+    hard-exit the worker when assigned, stalled cubes block it until a
+    cube-scoped cancel arrives (markers land in ``stall_dir``).
     """
     jobs = max(1, jobs)
     client = HubClient(address)
@@ -135,17 +156,29 @@ def run_worker_host(
         heartbeat_s = max(0.5, min(2.0, lease_s / 3.0))
 
         level_spec = effective_level_spec()
-        specs = [
-            WorkerSpec(
-                problem=problem,
-                worker_index=base_index + index,
-                base_config=config,
-                crash_cubes=crash_cubes,
-                log_level=level_spec,
+        specs = []
+        for local in range(jobs):
+            index = base_index + local
+            specs.append(
+                WorkerSpec(
+                    problem=problem,
+                    worker_index=index,
+                    base_config=config,
+                    optimize=optimize,
+                    crash_cubes=tuple((crash_cubes or {}).get(local, ())),
+                    stall_cubes=tuple((stall_cubes or {}).get(local, ())),
+                    stall_dir=stall_dir,
+                    telemetry=(
+                        telemetry.worker_config(
+                            f"p{index}", label=f"portfolio-{index}"
+                        )
+                        if telemetry is not None
+                        else None
+                    ),
+                    log_level=level_spec,
+                )
             )
-            for index in range(jobs)
-        ]
-        with WorkerPool(specs, "dist") as workers:
+        with WorkerPool(specs) as workers:
             try:
                 _host_loop(client, workers, summary, welcome, heartbeat_s)
             except DistError as error:
@@ -201,8 +234,6 @@ def _host_loop(
 
     deliver(welcome)
     while not stop:
-        if not workers.live:
-            raise DistError("all local workers died")
         for event in workers.poll(wake=client):
             if isinstance(event, Finished):
                 outcome = event.outcome
@@ -237,29 +268,42 @@ def _host_loop(
                     # This host's heartbeats keep its leases alive, so
                     # the hub must be told: it requeues the cube once,
                     # and a second loss fails the solve.
-                    call({"op": "lost", "cube": event.cube})
+                    call(
+                        {
+                            "op": "lost",
+                            "worker": event.worker,
+                            "cube": event.cube,
+                        }
+                    )
+                if not workers.live and not stop:
+                    raise DistError(
+                        f"all portfolio workers died ({event.reason})"
+                    )
             if stop:
                 return
         if connection_wait([client], timeout=0):
             return  # the hub hung up: between requests it sends nothing
 
         now = time.monotonic()
-        idle = workers.idle()
-        while idle and now >= next_pull:
-            response = call({"op": "pull"})
-            cube = response.get("cube")
-            if stop or cube is None:
-                if response.get("wait"):
+        if now >= next_pull:
+            for worker in workers.idle():
+                response = call({"op": "pull", "worker": worker})
+                cube = response.get("cube")
+                if stop:
+                    return
+                if cube is None:
+                    # Every undecided cube is this worker's already;
+                    # one may yet be requeued.
                     next_pull = now + _PULL_RETRY
-                break
-            workers.assign(
-                idle.pop(0),
-                int(cube["index"]),  # type: ignore[index]
-                [
-                    (str(name), int(lo), int(hi))
-                    for name, lo, hi in cube["assumptions"]  # type: ignore[index]
-                ],
-                cube.get("timeout"),  # type: ignore[union-attr]
-            )
-        if not stop and time.monotonic() - last_call > heartbeat_s:
+                    continue
+                workers.assign(
+                    worker,
+                    int(cube["index"]),  # type: ignore[index]
+                    [
+                        (str(name), int(lo), int(hi))
+                        for name, lo, hi in cube["assumptions"]  # type: ignore[index]
+                    ],
+                    cube.get("timeout"),  # type: ignore[union-attr]
+                )
+        if time.monotonic() - last_call > heartbeat_s:
             call({"op": "heartbeat"})

@@ -1016,12 +1016,17 @@ def _dist_work_command(args) -> int:
         if args.unix_socket
         else ("tcp", (args.host, args.port))
     )
-    # The crash hook marks every cube, so the host dies on whichever
-    # assignment it receives first.
-    crash = tuple(range(4096)) if args.crash_on_first_cube else ()
+    # The crash hook marks every cube of every worker, so the host dies
+    # on whichever assignment it receives first.
+    jobs = max(1, args.jobs)
+    crash = (
+        {local: tuple(range(4096)) for local in range(jobs)}
+        if args.crash_on_first_cube
+        else None
+    )
     try:
         summary = run_worker_host(
-            address, max(1, args.jobs), name=args.name, crash_cubes=crash
+            address, jobs, name=args.name, crash_cubes=crash
         )
     except DistError as error:
         print(f"repro-hdpll dist-work: {error}", file=sys.stderr)

@@ -8,6 +8,8 @@ short learned clauses flow between workers through the master
 (:mod:`repro.portfolio.share`), and the cube ledger
 (:mod:`repro.portfolio.ledger`) applies the result semantics: first SAT
 anywhere wins, UNSAT needs the root cube or every split cube refuted.
+Worker processes run under :class:`~repro.portfolio.pool.WorkerPool`,
+fed by a one-host cube hub (:mod:`repro.dist`).
 
 :func:`repro.portfolio.solve.solve_portfolio` is the entry point; it
 falls back to a deterministic single-process mode for tests and
@@ -17,7 +19,7 @@ non-picklable problems.
 from repro.portfolio.cubes import Cube, CubeReport, generate_cubes
 from repro.portfolio.diversify import rotation_size, worker_config
 from repro.portfolio.ledger import CubeResult
-from repro.portfolio.pool import PortfolioError, run_pool
+from repro.portfolio.pool import PortfolioError
 from repro.portfolio.share import (
     ClauseExporter,
     ClauseImporter,
@@ -52,7 +54,6 @@ __all__ = [
     "prove_by_induction_portfolio",
     "replay_model",
     "rotation_size",
-    "run_pool",
     "serialize_clause",
     "solve_portfolio",
     "worker_config",

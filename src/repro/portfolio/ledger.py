@@ -1,12 +1,13 @@
 """The cube ledger: one query's cube bookkeeping, with no I/O.
 
-Every cube-and-conquer surface drives a :class:`CubeLedger` and reads
-its verdict back: the local portfolio pool (:mod:`repro.portfolio.pool`;
-a holder is a worker index, the transport a pipe), the distributed hub
-(:mod:`repro.dist.hub`; a holder is a host id, the transport a socket)
-and the deterministic in-process portfolio
-(:mod:`repro.portfolio.solve`; verdict only).  The transports move
-messages and keep time; this is the one statement of the cube contract:
+Two drivers keep a :class:`CubeLedger` and read its verdict back: the
+cube hub (:mod:`repro.dist.hub`), which serves every multi-process
+solve -- the local portfolio as a one-host hub, ``solve_dist`` and
+``dist-serve`` -- and whose holders are workers, ``(host id, global
+worker index)``; and the deterministic in-process portfolio
+(:mod:`repro.portfolio.solve`; a holder is a worker index, verdict
+only).  The hub moves messages and keeps time; this is the one
+statement of the cube contract:
 
 * Cube ``root_index`` (0 by convention) is the *root cube*: the whole
   problem with no splitting assumptions, so the portfolio degrades into
@@ -24,7 +25,7 @@ messages and keep time; this is the one statement of the cube contract:
 * Verdict: SAT on any cube wins.  UNSAT needs the root cube UNSAT or
   every split cube UNSAT.  Every cube decided otherwise (timeouts,
   budget exhaustion) is UNKNOWN.
-* A holder that crashed, went silent or lost a worker is released
+* A holder that crashed or went silent is released
   (:meth:`CubeLedger.release`).  An undecided cube that no one else
   holds goes back to the head of the queue the first time it is lost;
   losing the same cube a second time fails the solve.

@@ -1,16 +1,15 @@
-"""Portfolio workers: one supervisor, driven by the local cube pool.
+"""Portfolio workers: the one supervisor of the worker processes.
 
 :class:`WorkerPool` is the parent side of the worker pipe protocol
 (:mod:`repro.portfolio.worker`).  It starts the workers from the
 preloaded fork server (:mod:`repro.procs`), relays each exported clause
 batch to the local peers, sends cube-scoped cancels, turns a closed
 pipe, a dead process or a ``fatal`` message into one :class:`Lost`
-event carrying the cube the worker held, and stops the workers.  Two
-drivers feed it cubes: :func:`run_pool` from an in-process
-:class:`~repro.portfolio.ledger.CubeLedger` whose holders are worker
-indices (the ledger states the cube contract; losing the same cube
-twice, or every worker, raises :class:`PortfolioError`), and
-:func:`repro.dist.worker.run_worker_host` from a cube hub.
+event carrying the cube the worker held, and stops the workers.  Its
+one driver is the worker host loop
+(:func:`repro.dist.worker.run_worker_host`), which takes its cubes
+from a cube hub: the local portfolio runs one such host, ``solve_dist``
+several.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import time
 from multiprocessing.connection import wait as connection_wait
 from typing import (
-    TYPE_CHECKING,
     Dict,
     List,
     NamedTuple,
@@ -29,19 +27,9 @@ from typing import (
 )
 
 from repro import procs
-from repro.core.config import SolverConfig
 from repro.errors import SolverError
-from repro.obs import effective_level_spec
-from repro.portfolio.cubes import Cube
-from repro.portfolio.ledger import CubeLedger, CubeOutcome, CubeResult
-from repro.portfolio.worker import (
-    ProblemSpec,
-    WorkerSpec,
-    portfolio_worker,
-)
-
-if TYPE_CHECKING:
-    from repro.obs.telemetry import TelemetryHub
+from repro.portfolio.ledger import CubeOutcome
+from repro.portfolio.worker import WorkerSpec, portfolio_worker
 
 #: Seconds one :meth:`WorkerPool.poll` waits for a message before
 #: sweeping for silently-died workers.
@@ -52,7 +40,8 @@ _STOP_GRACE = 1.0
 
 
 class PortfolioError(SolverError):
-    """Unrecoverable portfolio failure (crashed cubes, dead pool)."""
+    """Unrecoverable portfolio failure (a cube lost twice, every worker
+    dead); the cube hub raises it as :class:`~repro.dist.hub.DistError`."""
 
 
 class Finished(NamedTuple):
@@ -105,8 +94,8 @@ class WorkerPool:
     """The started workers of one query; leaving the ``with`` block
     stops them."""
 
-    def __init__(self, specs: Sequence[WorkerSpec], name: str):
-        """Start one worker per spec, named ``{name}-{worker_index}``."""
+    def __init__(self, specs: Sequence[WorkerSpec]):
+        """Start one worker per spec, named ``portfolio-{worker_index}``."""
         context = procs.context()
         #: Live workers by worker index.
         self.live: Dict[int, _Worker] = {}
@@ -116,7 +105,7 @@ class WorkerPool:
                 target=portfolio_worker,
                 args=(child_conn, spec),
                 daemon=True,
-                name=f"{name}-{spec.worker_index}",
+                name=f"portfolio-{spec.worker_index}",
             )
             process.start()
             child_conn.close()
@@ -228,101 +217,3 @@ class WorkerPool:
             )
             worker.conn.close()
 
-
-def run_pool(
-    problem: ProblemSpec,
-    cubes: Sequence[Cube],
-    jobs: int,
-    base_config: SolverConfig,
-    timeout: Optional[float] = None,
-    optimize: bool = False,
-    root_index: Optional[int] = 0,
-    crash_cubes: Optional[Dict[int, Tuple[int, ...]]] = None,
-    stall_cubes: Optional[Dict[int, Tuple[int, ...]]] = None,
-    stall_dir: Optional[str] = None,
-    telemetry: Optional["TelemetryHub"] = None,
-) -> CubeResult:
-    """Solve every cube of ``problem`` on ``jobs`` diversified workers.
-
-    ``crash_cubes`` and ``stall_cubes`` (worker index -> cube indices)
-    are the test hooks forwarded to :class:`WorkerSpec`; stalled cubes
-    block until cancelled, proving the duplicate-cancellation path
-    (markers land in ``stall_dir``).  ``root_index`` names the cube
-    whose UNSAT alone settles the query (``None`` when no root cube is
-    in the list).  ``telemetry`` (a TelemetryHub) gives every worker a
-    clock-aligned trace/metrics shard; the caller merges afterwards.
-    """
-    if not cubes:
-        raise ValueError("run_pool needs at least one cube")
-    jobs = max(1, jobs)
-    deadline = (
-        time.monotonic() + timeout if timeout is not None else None
-    )
-
-    def remaining() -> Optional[float]:
-        if deadline is None:
-            return base_config.timeout
-        return max(0.0, deadline - time.monotonic())
-
-    level_spec = effective_level_spec()
-    specs = [
-        WorkerSpec(
-            problem=problem,
-            worker_index=index,
-            base_config=base_config,
-            optimize=optimize,
-            crash_cubes=tuple((crash_cubes or {}).get(index, ())),
-            stall_cubes=tuple((stall_cubes or {}).get(index, ())),
-            stall_dir=stall_dir,
-            telemetry=(
-                telemetry.worker_config(
-                    f"p{index}", label=f"portfolio-{index}"
-                )
-                if telemetry is not None
-                else None
-            ),
-            log_level=level_spec,
-        )
-        for index in range(jobs)
-    ]
-    ledger = CubeLedger(len(cubes), root_index)
-    note = ""
-    with WorkerPool(specs, "portfolio") as workers:
-        while True:
-            status = ledger.verdict()
-            if status is not None:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                status = "unknown"
-                note = f"portfolio timeout after {timeout:.1f}s"
-                break
-            for worker in workers.idle():
-                index = ledger.next_cube(worker)
-                if index is not None:
-                    workers.assign(
-                        worker, index, cubes[index].assumptions, remaining()
-                    )
-            for event in workers.poll():
-                if isinstance(event, Finished):
-                    # Duplicate holders grinding on the decided cube free
-                    # up for the next assignment; the cube-scoped cancel
-                    # reaches exactly the holders the ledger returns.  A
-                    # cancel that crosses the peer's own result on the
-                    # pipe is dropped as stale by the worker.
-                    holders = ledger.record(
-                        event.worker, event.outcome, event.totals
-                    )
-                    if holders:
-                        workers.cancel(event.outcome.index)
-                elif isinstance(event, Lost):
-                    lost = ledger.release(event.worker)
-                    if lost is not None:
-                        raise PortfolioError(
-                            f"cube {lost} lost to repeated worker crashes "
-                            f"({event.reason})"
-                        )
-                    if not workers.live and ledger.verdict() is None:
-                        raise PortfolioError(
-                            f"all portfolio workers died ({event.reason})"
-                        )
-    return ledger.result(status, note)

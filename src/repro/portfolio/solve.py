@@ -4,9 +4,11 @@
 call.  It generates cubes (:mod:`repro.portfolio.cubes`), prepends the
 *root cube* (the unsplit problem — index 0), and then either
 
-* fans the cube list out to worker processes forked from the
-  preloaded fork server (:mod:`repro.portfolio.pool`,
-  :mod:`repro.procs`) with live clause sharing, or
+* serves the cube list from a one-host cube hub
+  (:class:`~repro.dist.hub.CubeHub`, attached in-process over a
+  socketpair by :func:`repro.dist.run.run_hosts`) whose ``jobs``
+  workers fork from the preloaded fork server (:mod:`repro.procs`)
+  and share clauses live, or
 * runs the **deterministic in-process mode**: the same diversified
   configurations as sequential :class:`SolverSession`\\ s with clause
   sharing between cube solves — bit-for-bit reproducible, used by the
@@ -16,12 +18,12 @@ call.  It generates cubes (:mod:`repro.portfolio.cubes`), prepends the
   children).
 
 Both modes record per-cube answers in a
-:class:`~repro.portfolio.ledger.CubeLedger`, and
-:func:`cube_solver_result` (shared with the distributed driver) turns
-the ledger's result into the reported one.  Every SAT model — wherever
-it was found — is replayed through the concrete simulator against the
-base assumptions before it is reported; a replay failure raises (a
-portfolio soundness bug must never pass silently as SAT).
+:class:`~repro.portfolio.ledger.CubeLedger` (the hub keeps one too),
+and :func:`cube_solver_result` (shared with the distributed driver)
+turns the ledger's result into the reported one.  Every SAT model —
+wherever it was found — is replayed through the concrete simulator
+against the base assumptions before it is reported; a replay failure
+raises (a portfolio soundness bug must never pass silently as SAT).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.obs import Observation
 from repro.portfolio.cubes import Cube, CubeReport, generate_cubes
 from repro.portfolio.diversify import worker_config
 from repro.portfolio.ledger import CubeLedger, CubeOutcome, CubeResult
-from repro.portfolio.pool import run_pool
 from repro.portfolio.share import (
     ClauseExporter,
     ClauseImporter,
@@ -158,7 +159,7 @@ def _solve_inline(
     for worker_index, cube_index in order:
         budget = remaining()
         if deadline is not None and budget <= 0.0:
-            note = f"portfolio timeout after {timeout:.1f}s"
+            note = f"timeout after {timeout:.1f}s"
             break
         session, exporter, importer = get_worker(worker_index)
         cube = cubes[cube_index]
@@ -243,7 +244,7 @@ def cube_solver_result(
     note = result.note
     if status is Status.SAT:
         solver = f"worker {result.winning_worker}"
-        if result.winning_host is not None:
+        if result.hosts_seen > 1:
             solver += f" of host {result.winning_host}"
         model = result.model
         if model is None or not replay_model(circuit, model, assumptions):
@@ -258,6 +259,8 @@ def cube_solver_result(
             note = f"{label}: root cube UNSAT"
         else:
             note = f"{label}: all {len(report.cubes)} cubes UNSAT"
+    elif note:
+        note = f"{label} {note}"  # e.g. "portfolio timeout after 5.0s"
     if result.requeues and note:
         note += f" ({result.requeues} cube requeues)"
     return SolverResult(status=status, model=model, stats=stats, note=note)
@@ -280,14 +283,16 @@ def solve_portfolio(
     """Cube-and-conquer portfolio solve of one satisfiability query.
 
     Give either a ``(circuit, assumptions)`` pair, a :class:`ProblemSpec`
-    (required for the multi-process pool — workers rebuild the problem
+    (required for the multi-process mode — workers rebuild the problem
     from it), or both (the pair then skips a rebuild on the master).
 
     ``telemetry_dir`` enables cross-process telemetry for the
-    multi-process pool: every worker writes a clock-aligned shard there
+    multi-process mode: every worker writes a clock-aligned shard there
     and the merged ``timeline.jsonl`` + metrics exports are produced
     before returning.  The deterministic/inline modes run in one
     process and ignore it (the ordinary ``observation`` covers them).
+    ``crash_cubes`` is the workers' crash test hook (see
+    :func:`repro.dist.worker.run_worker_host`).
     """
     base_config = base_config or SolverConfig()
     jobs = max(1, jobs)
@@ -336,24 +341,25 @@ def solve_portfolio(
             root_index=0,
         )
     elif report.status is None:
-        hub = None
+        # Imported here: the cube hub builds on this package.
+        from repro.dist.hub import CubeHub
+        from repro.dist.run import run_hosts
+
+        telemetry = None
         if telemetry_dir is not None:
             from repro.obs.telemetry import TelemetryHub
 
-            hub = TelemetryHub(telemetry_dir)
-        pool_result = run_pool(
-            spec,
-            cubes,
+            telemetry = TelemetryHub(telemetry_dir)
+        pool_result = run_hosts(
+            CubeHub(spec, cubes, base_config, root_index=0, timeout=timeout),
+            hosts=1,
             jobs=jobs,
-            base_config=base_config,
-            timeout=timeout,
             optimize=optimize,
-            root_index=0,
             crash_cubes=crash_cubes,
-            telemetry=hub,
+            telemetry=telemetry,
         )
-        if hub is not None:
-            hub.merge()
+        if telemetry is not None:
+            telemetry.merge()
     solved = cube_solver_result(
         "portfolio", report, pool_result, circuit, assumptions, start
     )
@@ -382,71 +388,21 @@ def prove_by_induction_portfolio(
 ):
     """k-induction with every base/step query answered by the portfolio.
 
-    Mirrors :func:`repro.bmc.induction.prove_by_induction`'s loop and
-    result type; ``case`` must name a registry property (``b13_1``).
+    Runs :func:`repro.bmc.induction.prove_by_induction`'s depth loop
+    and returns its result type; ``case`` must name a registry property
+    (``b13_1``).
     """
-    from repro.bmc.induction import InductionResult, InductionStatus
+    from repro.bmc.induction import induction_loop
 
     config = base_config or SolverConfig()
-    deadline = time.monotonic() + timeout if timeout is not None else None
 
-    def remaining() -> Optional[float]:
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.monotonic())
-
-    result = InductionResult(status=InductionStatus.UNDECIDED)
-    for k in range(1, max_k + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            result.note = f"timeout before depth {k}"
-            return result
-        depth_entry: Dict[str, object] = {
-            "k": k,
-            "base_decisions": 0,
-            "base_conflicts": 0,
-            "step_decisions": 0,
-            "step_conflicts": 0,
-            "probe_cache_hit_rate": 0.0,
-        }
-        result.depth_stats.append(depth_entry)
-
-        start = time.monotonic()
-        base = solve_portfolio(
-            spec=ProblemSpec("base", case, k),
+    def query(kind: str, k: int, budget: Optional[float]) -> SolverResult:
+        return solve_portfolio(
+            spec=ProblemSpec(kind, case, k),
             jobs=jobs,
-            timeout=remaining(),
+            timeout=budget,
             base_config=config,
             deterministic=deterministic,
         )
-        result.base_seconds.append(time.monotonic() - start)
-        depth_entry["base_decisions"] = base.stats.decisions
-        depth_entry["base_conflicts"] = base.stats.conflicts
-        if base.is_sat:
-            result.status = InductionStatus.VIOLATED
-            result.k = k
-            result.counterexample = base.model
-            return result
-        if base.status is Status.UNKNOWN:
-            result.note = f"base case budget exhausted at depth {k}"
-            return result
 
-        start = time.monotonic()
-        step = solve_portfolio(
-            spec=ProblemSpec("step", case, k),
-            jobs=jobs,
-            timeout=remaining(),
-            base_config=config,
-            deterministic=deterministic,
-        )
-        result.step_seconds.append(time.monotonic() - start)
-        depth_entry["step_decisions"] = step.stats.decisions
-        depth_entry["step_conflicts"] = step.stats.conflicts
-        if step.is_unsat:
-            result.status = InductionStatus.PROVED
-            result.k = k
-            return result
-        if step.status is Status.UNKNOWN:
-            result.note = f"inductive step budget exhausted at depth {k}"
-            return result
-    result.note = f"not inductive up to k = {max_k}"
-    return result
+    return induction_loop(max_k, timeout, query)

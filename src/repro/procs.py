@@ -1,8 +1,8 @@
 """How solver child processes are started and stopped.
 
 Both pools that run solver children -- the worker supervisor
-(:mod:`repro.portfolio.pool`), which the portfolio pool and every dist
-worker host drive, and the harness task pool
+(:mod:`repro.portfolio.pool`), which every cube worker host drives, and
+the harness task pool
 (:mod:`repro.harness.parallel`) -- take their ``multiprocessing``
 context from :func:`context` and stop children with
 :func:`terminate_then_kill`.
@@ -18,17 +18,17 @@ every fork.  ``spawn`` remains only where the platform has no fork
 server.
 
 Why a fork server and not plain ``fork``: the processes that start
-solver children run threads (the ``solve_dist`` caller runs the hub's
-threads and its worker hosts, the daemon its executor threads), and
-forking a threaded process can copy a lock that another thread holds.
-A forked worker would also inherit the hub's listening socket.  The
-fork server is a fresh single-threaded interpreter that holds none of
-this.
+solver children run threads (a ``solve_portfolio`` or ``solve_dist``
+caller runs the hub's threads and its worker hosts, the daemon its
+executor threads), and forking a threaded process can copy a lock that
+another thread holds.  A forked worker would also inherit the hub's
+sockets.  The fork server is a fresh single-threaded interpreter that
+holds none of this.
 
 The stdlib does not share a fork server across processes.  The hosts
-of ``solve_dist`` are threads, so their workers come from the caller's
-server; only a ``dist-work`` process launches a server of its own, for
-the one query it serves.
+of ``solve_portfolio`` and ``solve_dist`` are threads, so their workers
+come from the caller's server; only a ``dist-work`` process launches a
+server of its own, for the one query it serves.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """CubeHub protocol unit tests: raw :class:`HubClient` "hosts" with no
 solver processes behind them, so every queue/lease/relay path is
-exercised deterministically — verdict semantics, requeue on connection
-drop, on a lost worker and on lease expiry, the structural double-loss
-failure, the LBD relay filter with dedup, decided-cube notification,
-and the hang-up on close.
+exercised deterministically — verdict semantics, per-worker holders,
+requeue on connection drop, on a lost worker and on lease expiry, the
+structural double-loss failure, rejected out-of-range reports, the LBD
+relay filter with dedup, decided-cube notification, and the hang-up on
+close.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ def _host(hub, name, slots=1):
     client = HubClient(hub.address)
     welcome = client.call({"op": "hello", "name": name, "slots": slots})
     return client, welcome
+
+
+def _pull(client, worker):
+    return client.call({"op": "pull", "worker": worker})
 
 
 def _report(client, cube, status, model=None, worker=0):
@@ -242,6 +247,55 @@ def test_drained_queue_hands_out_least_covered_duplicates(tmp_path):
         assert duplicate in (0, 1, 2)
         # alpha already holds every cube, so *it* must wait.
         assert a.call({"op": "pull"}).get("wait") is True
+        a.close()
+        b.close()
+
+
+def test_idle_worker_gets_a_duplicate_of_its_siblings_cube(tmp_path):
+    """Holders are workers, not hosts: once the queue drains, a two-slot
+    host's idle worker gets a duplicate of the cube its sibling is
+    solving, and the duplicate's report tells the host the cube is
+    decided, so the sibling can be cancelled."""
+    with _hub(tmp_path) as hub:
+        a, _ = _host(hub, "alpha", slots=2)
+        assert _pull(a, 0)["cube"]["index"] == 0
+        assert _pull(a, 1)["cube"]["index"] == 1
+        _report(a, 0, "unknown", worker=0)
+        assert _pull(a, 0)["cube"]["index"] == 2
+        _report(a, 1, "unknown", worker=1)
+        # Queue drained; worker 0 holds cube 2, worker 1 nothing.
+        response = _pull(a, 1)
+        assert "wait" not in response
+        assert response["cube"]["index"] == 2
+        response = _report(a, 2, "unknown", worker=1)
+        assert response["decided"] == [2]
+        result = hub.wait(timeout=2.0)
+        assert result is not None and result.status == "unknown"
+        assert result.outcomes[2].worker == 1
+        a.close()
+
+
+def test_out_of_range_reports_are_rejected(tmp_path):
+    """A ``result`` or ``lost`` naming no cube, or a status other than
+    sat/unsat/unknown, gets an error response and leaves the cube state
+    alone: it is neither recorded nor broadcast, so it cannot settle the
+    query while the root cube is still held."""
+    with _hub(tmp_path) as hub:
+        a, _ = _host(hub, "alpha", slots=2)
+        assert _pull(a, 0)["cube"]["index"] == 0
+        assert _pull(a, 1)["cube"]["index"] == 1
+        _report(a, 1, "unknown", worker=1)
+        with pytest.raises(DistError, match="no cube 99"):
+            _report(a, 99, "unsat", worker=1)
+        with pytest.raises(DistError, match="no cube -1"):
+            a.call({"op": "lost", "cube": -1, "worker": 0})
+        with pytest.raises(DistError, match="bad status"):
+            _report(a, 2, "maybe", worker=1)
+        _report(a, 2, "unknown", worker=1)
+        assert hub.wait(timeout=0.2) is None
+        b, welcome = _host(hub, "beta")
+        assert welcome["decided"] == [1, 2]
+        assert hub.wait(timeout=0.0) is None
         a.close()
         b.close()
 

@@ -4,7 +4,7 @@ Covers the PR's acceptance points: deterministic shard merging with a
 globally monotonic clock-aligned timeline, the clock-offset handshake,
 the per-worker profiler drift gate, clause-flow pairing, metrics
 aggregation/export (JSON + Prometheus), the live-status snapshot, and
-two real multi-process runs — a portfolio pool with sharing and a
+two real multi-process runs — portfolio workers with sharing and a
 bench-pool worker hard-killed mid-solve whose flight dump must replay.
 """
 
@@ -339,25 +339,24 @@ class TestPortfolioTelemetry:
         self, tmp_path
     ):
         from repro.core.config import SolverConfig
+        from repro.dist.hub import CubeHub
+        from repro.dist.run import run_hosts
         from repro.portfolio.cubes import Cube, generate_cubes
-        from repro.portfolio.pool import run_pool
         from repro.portfolio.worker import ProblemSpec, build_problem
 
         spec = ProblemSpec("instance", "b01_1", 10)
         circuit, assumptions = build_problem(spec)
         report = generate_cubes(circuit, assumptions, depth=1)
         cubes = [Cube(())] + list(report.cubes)
-        hub = TelemetryHub(tmp_path)
-        result = run_pool(
-            spec,
-            cubes,
-            jobs=4,
-            base_config=SolverConfig(),
-            timeout=120.0,
-            telemetry=hub,
+        telemetry = TelemetryHub(tmp_path)
+        result = run_hosts(
+            CubeHub(spec, cubes, SolverConfig(), timeout=120.0),
+            1,
+            4,
+            telemetry=telemetry,
         )
         assert result.status == "sat"
-        summary = hub.merge()
+        summary = telemetry.merge()
         # Workers that were cancelled before writing anything may leave
         # no shard; at least the winner and one peer always do.
         assert len(summary["workers"]) >= 2

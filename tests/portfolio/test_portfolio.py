@@ -7,9 +7,10 @@ every SAT model must replay on the sequential simulator with the
 monitor low at the violating frame — cube splitting, diversification
 and clause sharing are all behaviourally invisible or they are bugs.
 
-The multi-process pool is exercised separately through its crash
-semantics (requeue once, then fail loudly), which also covers worker
-start-up, the pipe protocol, and result assembly.
+The multi-process mode -- a one-host cube hub, run through the harness
+every multi-process solve uses -- is exercised separately through its
+crash semantics (requeue once, then fail loudly), which also covers
+worker start-up, the pipe protocol, and result assembly.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro import procs
 from repro.bmc import input_trace_from_model, make_bmc_instance
 from repro.core import SolverConfig, SolverSession, Status, solve_circuit
 from repro.core.hdpll import HdpllSolver, luby
+from repro.dist.hub import CubeHub
+from repro.dist.run import run_hosts
 from repro.errors import SolverError
 from repro.harness.parallel import Task, run_tasks
 from repro.itc99.generator import (
@@ -40,7 +43,6 @@ from repro.portfolio import (
     prove_by_induction_portfolio,
     replay_model,
     rotation_size,
-    run_pool,
     solve_portfolio,
     worker_config,
 )
@@ -221,7 +223,7 @@ def test_portfolio_stats_and_note_surface():
 
 
 # ----------------------------------------------------------------------
-# Multi-process pool: crash requeue semantics
+# Multi-process mode: crash requeue semantics
 # ----------------------------------------------------------------------
 
 #: Seconds a held-back worker waits for its gate before starting anyway
@@ -305,6 +307,15 @@ def _crash_problem():
     return spec, [Cube(())] + list(report.cubes)
 
 
+def _run_hub(spec, cubes, jobs, root_index=0, **host_options):
+    """Serve ``cubes`` from a one-host cube hub with ``jobs`` workers,
+    as :func:`solve_portfolio` does, and return the hub's result."""
+    hub = CubeHub(
+        spec, cubes, SolverConfig(), root_index=root_index, timeout=120.0
+    )
+    return run_hosts(hub, 1, jobs, **host_options)
+
+
 def test_crashed_worker_requeues_cube_once(monkeypatch):
     """Worker 0 dies on its first assignment; the cube is requeued and
     the surviving worker still settles the query.
@@ -325,13 +336,8 @@ def test_crashed_worker_requeues_cube_once(monkeypatch):
         ),
     )
     spec, cubes = _crash_problem()
-    result = run_pool(
-        spec,
-        cubes,
-        jobs=2,
-        base_config=SolverConfig(),
-        timeout=120.0,
-        crash_cubes={0: tuple(range(len(cubes)))},
+    result = _run_hub(
+        spec, cubes, jobs=2, crash_cubes={0: tuple(range(len(cubes)))}
     )
     assert result.requeues == 1
     assert result.status == "sat"  # b01_1 is violated by bound 10
@@ -348,9 +354,11 @@ def test_duplicate_holder_cancelled_when_cube_decided(
 
     Worker 0 stalls (test hook) on every cube it is handed, so its
     cubes are only ever decided by worker 1 picking up duplicates once
-    the queue drains.  Each such result must trigger a ``("cancel",
-    index)`` to worker 0 — proven by the marker files the stall hook
-    writes on receipt — and the pool must still settle the query.
+    the queue drains: the hub's holders are workers, so a worker gets
+    duplicates of its sibling's cubes.  Each such result must trigger a
+    ``("cancel", index)`` to worker 0 — proven by the marker files the
+    stall hook writes on receipt — and the hub must still settle the
+    query.
     The step query is UNSAT, so every split cube is UNSAT and the
     verdict needs *all* of them (no root cube, ``root_index=None``):
     the stalled cubes cannot be bypassed.  The problem is b13_1's
@@ -382,12 +390,10 @@ def test_duplicate_holder_cancelled_when_cube_decided(
     assert report.status is None
     cubes = list(report.cubes)
     assert len(cubes) >= 2
-    result = run_pool(
+    result = _run_hub(
         spec,
         cubes,
         jobs=2,
-        base_config=SolverConfig(),
-        timeout=120.0,
         root_index=None,
         stall_cubes={0: tuple(range(len(cubes)))},
         stall_dir=str(tmp_path),
@@ -427,9 +433,7 @@ def test_stop_terminates_a_worker_that_never_reported_ready_at_once(
 
     monkeypatch.setattr(procs, "terminate_then_kill", record_wait)
     spec, cubes = _crash_problem()
-    result = run_pool(
-        spec, cubes, jobs=2, base_config=SolverConfig(), timeout=120.0
-    )
+    result = _run_hub(spec, cubes, jobs=2)
     assert result.status == "sat"
     assert waits["portfolio-1"] == 0.0
     assert waits["portfolio-0"] > 0.0
@@ -438,12 +442,10 @@ def test_stop_terminates_a_worker_that_never_reported_ready_at_once(
 def test_all_workers_crashing_fails_loudly():
     spec, cubes = _crash_problem()
     with pytest.raises(PortfolioError):
-        run_pool(
+        _run_hub(
             spec,
             cubes,
             jobs=2,
-            base_config=SolverConfig(),
-            timeout=120.0,
             crash_cubes={
                 0: tuple(range(len(cubes))),
                 1: tuple(range(len(cubes))),
@@ -453,18 +455,13 @@ def test_all_workers_crashing_fails_loudly():
 
 def test_all_workers_crashing_reports_why():
     """The error names how the last worker died (the crash hook exits
-    with status 23), not just that the pool is empty."""
+    with status 23), not just that the host has no worker left."""
     spec, cubes = _crash_problem()
     with pytest.raises(
         PortfolioError, match=r"all portfolio workers died.*exit 23"
     ):
-        run_pool(
-            spec,
-            cubes,
-            jobs=1,
-            base_config=SolverConfig(),
-            timeout=120.0,
-            crash_cubes={0: tuple(range(len(cubes)))},
+        _run_hub(
+            spec, cubes, jobs=1, crash_cubes={0: tuple(range(len(cubes)))}
         )
 
 
