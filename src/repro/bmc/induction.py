@@ -17,10 +17,11 @@ depth, and a second fully-free unrolling serves every inductive step —
 each new depth appends one compiled frame and inherits all learned
 clauses (shifted forward in time) instead of restarting from scratch.
 
-With ``jobs >= 2`` (the CLI's ``-j``), each depth's base and step
-queries run *concurrently* on the crash-isolated worker pool as one-shot
-solves; a SAT base case is the only sound early decision (it settles the
-whole run as VIOLATED), so it kills the in-flight step worker.
+:func:`induction_loop` is the one depth loop and owns the verdict
+rules; :func:`prove_by_induction` answers its queries on the two
+sessions, and :func:`repro.portfolio.prove_by_induction_portfolio`
+answers them with the cube-and-conquer portfolio (the CLI's ``prove
+--portfolio``, ``-j`` wide).
 
 This is the natural "unbounded" companion of the paper's evaluation:
 the UNSAT BMC families (b02_1, b13_1...) are invariants, and k-induction
@@ -35,12 +36,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.config import SolverConfig
-from repro.core.hdpll import solve_circuit
 from repro.core.result import SolverResult, Status
 from repro.rtl.circuit import Circuit
-from repro.bmc.property import SafetyProperty, make_bmc_instance
+from repro.bmc.property import SafetyProperty
 from repro.bmc.session import BmcSession
-from repro.bmc.unroll import frame_name, unroll_free_initial
 
 
 class InductionStatus(enum.Enum):
@@ -153,21 +152,13 @@ def prove_by_induction(
     max_k: int = 10,
     config: Optional[SolverConfig] = None,
     timeout: Optional[float] = None,
-    jobs: int = 1,
-    case: Optional[str] = None,
 ) -> InductionResult:
     """Attempt an unbounded proof of a safety property by k-induction.
 
-    ``jobs >= 2`` with a registry ``case`` name runs each depth's base
-    and step queries concurrently on the worker pool (one-shot solves,
-    first-conclusive-finisher decides); otherwise the incremental
-    session path runs them sequentially.
+    Runs :func:`induction_loop` over two incremental sessions, one for
+    the base queries and one for the inductive steps.
     """
     config = config or SolverConfig()
-    if jobs >= 2 and case is not None:
-        return _prove_parallel(
-            case, max_k=max_k, config=config, timeout=timeout, jobs=jobs
-        )
     base_session = BmcSession(circuit, prop, config, base=True)
     step_session = BmcSession(circuit, prop, config, base=False)
 
@@ -177,153 +168,3 @@ def prove_by_induction(
         return step_session.solve_step(k, timeout=budget)
 
     return induction_loop(max_k, timeout, query)
-
-
-# ----------------------------------------------------------------------
-# Parallel per-depth path (CLI -j >= 2)
-# ----------------------------------------------------------------------
-def _depth_query_worker(
-    case: str,
-    kind: str,
-    k: int,
-    timeout: Optional[float],
-    structural: bool,
-    predicate: bool,
-):
-    """One-shot base or step query at depth ``k`` (pool worker body).
-
-    Rebuilds the circuit from the ITC99 registry by ``case`` name so the
-    task description stays picklable and tiny (pool workers unpickle
-    this function by reference).
-    """
-    from repro.itc99 import CIRCUITS, circuit as get_circuit
-
-    circuit_name, _, property_name = case.partition("_")
-    sequential = get_circuit(circuit_name)
-    prop = CIRCUITS[circuit_name][1][property_name]
-    config = SolverConfig(
-        structural_decisions=structural,
-        predicate_learning=predicate,
-        timeout=timeout,
-    )
-    if kind == "base":
-        instance = make_bmc_instance(sequential, prop, k)
-        result: SolverResult = solve_circuit(
-            instance.circuit, instance.assumptions, config
-        )
-    else:
-        step_circuit = unroll_free_initial(sequential, k + 1)
-        assumptions: Dict[str, int] = {
-            frame_name(prop.ok_signal, frame): 1 for frame in range(k)
-        }
-        assumptions[frame_name(prop.ok_signal, k)] = 0
-        result = solve_circuit(step_circuit, assumptions, config)
-    return (
-        kind,
-        result.status.value,
-        result.model,
-        {
-            "decisions": result.stats.decisions,
-            "conflicts": result.stats.conflicts,
-        },
-    )
-
-
-def _prove_parallel(
-    case: str,
-    max_k: int,
-    config: SolverConfig,
-    timeout: Optional[float],
-    jobs: int,
-) -> InductionResult:
-    """Per-depth base/step queries racing on the worker pool.
-
-    Only a SAT base case is a sound early decision (VIOLATED ends the
-    whole run); a step verdict always waits for its depth's base result,
-    so the stop predicate fires on base-SAT alone.
-    """
-    from repro.harness.parallel import Task, run_tasks
-
-    deadline = time.monotonic() + timeout if timeout is not None else None
-    result = InductionResult(status=InductionStatus.UNDECIDED)
-    for k in range(1, max_k + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            result.note = f"timeout before depth {k}"
-            return result
-        budget = (
-            max(0.0, deadline - time.monotonic())
-            if deadline is not None
-            else config.timeout
-        )
-        tasks = [
-            Task(
-                fn=_depth_query_worker,
-                args=(
-                    case,
-                    kind,
-                    k,
-                    budget,
-                    config.structural_decisions,
-                    config.predicate_learning,
-                ),
-                timeout=budget,
-                label=f"{case} {kind} k={k}",
-            )
-            for kind in ("base", "step")
-        ]
-        start = time.monotonic()
-        outcomes = run_tasks(
-            tasks,
-            jobs=min(jobs, 2),
-            stop_when=lambda outcome: (
-                outcome.value[0] == "base" and outcome.value[1] == "sat"
-            ),
-        )
-        elapsed = time.monotonic() - start
-        result.base_seconds.append(elapsed)
-        result.step_seconds.append(elapsed)
-        depth = _depth_entry(k)
-        result.depth_stats.append(depth)
-        by_kind = {
-            outcome.value[0]: outcome
-            for outcome in outcomes
-            if outcome.ok
-        }
-
-        base = by_kind.get("base")
-        if base is None:
-            failed = outcomes[0]
-            result.note = (
-                f"base query failed at depth {k}: {failed.error}"
-            )
-            return result
-        _kind, base_status, base_model, base_stats = base.value
-        depth["base_decisions"] = base_stats["decisions"]
-        depth["base_conflicts"] = base_stats["conflicts"]
-        if base_status == "sat":
-            result.status = InductionStatus.VIOLATED
-            result.k = k
-            result.counterexample = base_model
-            return result
-        if base_status == "unknown":
-            result.note = f"base case budget exhausted at depth {k}"
-            return result
-
-        step = by_kind.get("step")
-        if step is None:
-            result.note = (
-                f"step query failed at depth {k}: {outcomes[1].error}"
-            )
-            return result
-        _kind, step_status, _model, step_stats = step.value
-        depth["step_decisions"] = step_stats["decisions"]
-        depth["step_conflicts"] = step_stats["conflicts"]
-        if step_status == "unknown":
-            result.note = f"inductive step budget exhausted at depth {k}"
-            return result
-        if step_status == "unsat":
-            result.status = InductionStatus.PROVED
-            result.k = k
-            return result
-    result.note = f"not inductive up to k = {max_k}"
-    return result

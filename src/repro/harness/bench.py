@@ -310,14 +310,13 @@ def run_profile(
     timeout: float = 60.0,
     repeat: int = 2,
     jobs: int = 1,
-    worker_dir: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run one profile's matrix; returns the report dictionary.
 
     ``telemetry_dir`` runs the matrix under a
     :class:`~repro.obs.telemetry.TelemetryHub`: every task gets a
-    clock-aligned trace/metrics shard, the merged ``timeline.jsonl``
+    clock-aligned trace/metrics shard and a log, the merged ``timeline.jsonl``
     and metrics exports are written there, and the report grows a
     ``telemetry`` section with cross-worker phase aggregates and the
     per-worker profiler drift check.
@@ -360,9 +359,7 @@ def run_profile(
         from repro.obs.telemetry import TelemetryHub
 
         hub = TelemetryHub(telemetry_dir)
-    records = run_engine_tasks(
-        specs, jobs=pool_jobs, worker_dir=worker_dir, telemetry=hub
-    )
+    records = run_engine_tasks(specs, jobs=pool_jobs, telemetry=hub)
     telemetry_summary: Optional[Dict[str, object]] = None
     if hub is not None:
         merged = hub.merge()

@@ -20,7 +20,8 @@ Subcommands::
 Global options: ``--log-level debug`` (or ``REPRO_LOG=debug``) wires the
 library's ``repro`` logger to stderr (and is inherited by worker
 processes); ``--telemetry-dir DIR`` gives multi-process commands
-(``bench``, ``solve --portfolio``) per-worker trace/metrics shards that
+(``table1``/``table2``/``scaling``, ``bench``, ``solve --portfolio``)
+per-worker trace/metrics shards, and every pool task a log file, that
 are merged into one clock-aligned timeline — inspect it afterwards with
 ``report`` (post-mortem) or ``top`` (live tail).
 """
@@ -96,23 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for multi-instance commands "
-        "(table1/table2/scaling/ablation/bench); 1 = run in-process "
-        "(the historical sequential path)",
-    )
-    parser.add_argument(
-        "--worker-dir",
-        default=None,
-        help="directory for per-worker trace/log files (created on "
-        "demand; only used by commands that run the worker pool)",
+        help="worker processes: the task pool of table1/table2/scaling/"
+        "ablation and bench, the portfolio width of solve --portfolio "
+        "(and of the portfolio/dist-* engines) and prove --portfolio, "
+        "the workers of a dist-work host; 1 = run in-process (the "
+        "historical sequential path)",
     )
     parser.add_argument(
         "--telemetry-dir",
         default=None,
         help="cross-process telemetry directory: every worker writes a "
-        "clock-aligned trace/metrics shard there and the run merges "
-        "them into timeline.jsonl + metrics.json/.prom (bench and "
-        "solve --portfolio; inspect with the report/top commands)",
+        "clock-aligned trace/metrics shard (and a pool task its log) "
+        "there and the run merges them into timeline.jsonl + "
+        "metrics.json/.prom (table1/table2/scaling, bench and solve "
+        "--portfolio; inspect with the report/top commands)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -728,7 +726,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             timeout=args.timeout,
             max_bound=max_bound,
             jobs=args.jobs,
-            worker_dir=args.worker_dir,
+            telemetry_dir=args.telemetry_dir,
         )
         print(format_table1(rows))
         return 0
@@ -740,7 +738,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_bound=max_bound,
             engines=engines,
             jobs=args.jobs,
-            worker_dir=args.worker_dir,
+            telemetry_dir=args.telemetry_dir,
         )
         print(format_table2(rows, engines))
         return 0
@@ -772,8 +770,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     max_k=args.max_k,
                     config=HDPLL_SP,
                     timeout=args.timeout,
-                    jobs=args.jobs,
-                    case=args.case,
                 )
             print(f"{args.case}: {outcome.status.value} (k = {outcome.k})")
             if outcome.note:
@@ -822,7 +818,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             engines=engines,
             timeout=args.timeout,
             jobs=args.jobs,
-            worker_dir=args.worker_dir,
+            telemetry_dir=args.telemetry_dir,
         )
         print(format_table2(rows, engines))
         return 0
@@ -846,7 +842,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             timeout=args.timeout,
             repeat=args.repeat,
             jobs=args.jobs,
-            worker_dir=args.worker_dir,
             telemetry_dir=args.telemetry_dir,
         )
         print(format_report(report))

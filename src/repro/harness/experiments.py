@@ -124,14 +124,15 @@ def _run_matrix(
     columns: Sequence[Tuple[str, Optional[int]]],
     timeout: float,
     jobs: int,
-    worker_dir: Optional[str],
+    telemetry_dir: Optional[str],
 ) -> List[TableRow]:
     """Run an (instance x engine) matrix into table rows.
 
     ``columns`` is ``(engine, learning_threshold)`` per table column.
     All cells go through the worker pool; ``jobs=1`` is the inline
     sequential path, so table output is identical either way, cell for
-    cell, in deterministic row order.
+    cell, in deterministic row order.  ``telemetry_dir`` gives every
+    cell a telemetry shard and log there, merged after the run.
     """
     specs = [
         EngineTask(
@@ -144,7 +145,14 @@ def _run_matrix(
         for case, bound in pairs
         for engine, threshold in columns
     ]
-    records = run_engine_tasks(specs, jobs=jobs, worker_dir=worker_dir)
+    hub = None
+    if telemetry_dir is not None:
+        from repro.obs.telemetry import TelemetryHub
+
+        hub = TelemetryHub(telemetry_dir)
+    records = run_engine_tasks(specs, jobs=jobs, telemetry=hub)
+    if hub is not None:
+        hub.merge()
     rows: List[TableRow] = []
     cursor = 0
     for case, bound in pairs:
@@ -161,7 +169,7 @@ def run_table1(
     max_bound: Optional[int] = 50,
     instances: Optional[Sequence[Tuple[str, int]]] = None,
     jobs: int = 1,
-    worker_dir: Optional[str] = None,
+    telemetry_dir: Optional[str] = None,
 ) -> List[TableRow]:
     """Regenerate Table 1: HDPLL with and without predicate learning."""
     return _run_matrix(
@@ -169,7 +177,7 @@ def run_table1(
         (("hdpll", None), ("hdpll+p", TABLE1_THRESHOLD)),
         timeout,
         jobs,
-        worker_dir,
+        telemetry_dir,
     )
 
 
@@ -179,7 +187,7 @@ def run_table2(
     instances: Optional[Sequence[Tuple[str, int]]] = None,
     engines: Sequence[str] = ("hdpll", "hdpll+s", "hdpll+sp", "uclid", "ics"),
     jobs: int = 1,
-    worker_dir: Optional[str] = None,
+    telemetry_dir: Optional[str] = None,
 ) -> List[TableRow]:
     """Regenerate Table 2: the structural decision strategy comparison."""
     return _run_matrix(
@@ -187,7 +195,7 @@ def run_table2(
         tuple((engine, None) for engine in engines),
         timeout,
         jobs,
-        worker_dir,
+        telemetry_dir,
     )
 
 
@@ -197,7 +205,7 @@ def run_scaling(
     engines: Sequence[str] = ("hdpll", "hdpll+s", "hdpll+sp"),
     timeout: float = 120.0,
     jobs: int = 1,
-    worker_dir: Optional[str] = None,
+    telemetry_dir: Optional[str] = None,
 ) -> List[TableRow]:
     """Run-time as a function of unrolling depth for one family.
 
@@ -210,7 +218,7 @@ def run_scaling(
         tuple((engine, None) for engine in engines),
         timeout,
         jobs,
-        worker_dir,
+        telemetry_dir,
     )
 
 

@@ -17,7 +17,9 @@ such tasks across worker *processes* (started by
 Results are merged in deterministic task order, so a parallel run's
 output is identical to the sequential run's, cell for cell (wall times
 aside).  ``jobs=1`` bypasses multiprocessing entirely and runs tasks
-inline — the historical sequential path.
+inline — the historical sequential path.  Every task runs to its end
+or its hard deadline; nothing cancels it early.  Solves that race on
+one query belong to the cube portfolio (:mod:`repro.portfolio`).
 
 The hard deadline is a *backstop*, not the primary timeout: engines
 honour their cooperative ``timeout=`` budget themselves (and return a
@@ -25,10 +27,11 @@ clean ``-to-`` record with counters), so the kill only fires for a
 worker whose cooperative deadline failed — the derived hard deadline
 leaves the cooperative one a 2x + grace head start.
 
-Tracing under concurrency: each :class:`EngineTask` can carry its own
-trace/log file path (see :func:`run_engine_tasks`'s ``worker_dir``), so
-the PR 2 observability stack keeps working when runs overlap — one
-JSONL trace and one log file per task, never a shared descriptor.
+Observability under concurrency: :func:`run_engine_tasks` takes a
+:class:`~repro.obs.telemetry.TelemetryHub`, and every task then writes
+its own shard into the hub's directory (trace, metrics snapshot, log
+file and, if it dies, a flight-recorder dump), never a shared
+descriptor; the hub merges the shards into one timeline afterwards.
 
 ``__main__`` caveat: worker processes re-import the parent's
 ``__main__``, so ``jobs > 1`` requires an importable main module — a
@@ -46,7 +49,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import procs
@@ -146,19 +148,7 @@ class _Running:
         return self.task.label or self.task.fn.__name__
 
 
-def _cancelled_outcome(index: int, task: Task) -> TaskOutcome:
-    return TaskOutcome(
-        index=index,
-        label=task.label,
-        ok=False,
-        error="cancelled: another task already decided the outcome",
-    )
-
-
-def _run_inline(
-    tasks: Sequence[Task],
-    stop_when: Optional[Callable[[TaskOutcome], bool]] = None,
-) -> List[TaskOutcome]:
+def _run_inline(tasks: Sequence[Task]) -> List[TaskOutcome]:
     """jobs=1: the historical sequential path, no subprocesses.
 
     Hard timeouts cannot be enforced inline (there is nothing to kill);
@@ -166,11 +156,7 @@ def _run_inline(
     exactly as before this module existed.
     """
     outcomes: List[TaskOutcome] = []
-    stopped = False
     for index, task in enumerate(tasks):
-        if stopped:
-            outcomes.append(_cancelled_outcome(index, task))
-            continue
         start = time.monotonic()
         try:
             value = task.fn(*task.args, **task.kwargs)
@@ -186,34 +172,21 @@ def _run_inline(
             )
         outcome.seconds = time.monotonic() - start
         outcomes.append(outcome)
-        if stop_when is not None and outcome.ok and stop_when(outcome):
-            stopped = True
     return outcomes
 
 
-def run_tasks(
-    tasks: Sequence[Task],
-    jobs: int = 1,
-    stop_when: Optional[Callable[[TaskOutcome], bool]] = None,
-) -> List[TaskOutcome]:
+def run_tasks(tasks: Sequence[Task], jobs: int = 1) -> List[TaskOutcome]:
     """Run tasks with up to ``jobs`` concurrent worker processes.
 
     Returns one :class:`TaskOutcome` per task **in submission order**
     regardless of completion order.  ``jobs <= 1`` runs inline.
-
-    ``stop_when`` makes the pool *first-finisher-decides*: as soon as a
-    successful outcome satisfies the predicate, every other running
-    worker is killed and every not-yet-finished task is recorded as a
-    cancelled outcome (``ok=False``, error mentioning cancellation).
-    The deciding outcome itself is always kept.
     """
     tasks = list(tasks)
     if jobs <= 1 or not tasks:
-        return _run_inline(tasks, stop_when=stop_when)
+        return _run_inline(tasks)
 
     ctx = procs.context()
     outcomes: Dict[int, TaskOutcome] = {}
-    decided = False
     #: (index, task, attempt, not_before) — crashed tasks awaiting retry.
     retries: List[Tuple[int, Task, int, float]] = []
     pending: List[Tuple[int, Task]] = list(enumerate(tasks))
@@ -304,7 +277,7 @@ def run_tasks(
                 else:
                     entry.process.join()
                     if kind == "ok":
-                        outcome = TaskOutcome(
+                        outcomes[entry.index] = TaskOutcome(
                             index=entry.index,
                             label=entry.task.label,
                             ok=True,
@@ -312,33 +285,12 @@ def run_tasks(
                             attempts=entry.attempt,
                             seconds=time.monotonic() - entry.started,
                         )
-                        outcomes[entry.index] = outcome
-                        if stop_when is not None and stop_when(outcome):
-                            decided = True
                     else:
                         finish_crash(entry, payload)
                 entry.conn.close()
                 completed.append(entry)
             for entry in completed:
                 running.remove(entry)
-
-            if decided:
-                # First-finisher-decides: cancel everything unfinished.
-                for entry in running:
-                    entry.process.kill()
-                    entry.process.join()
-                    entry.conn.close()
-                    outcomes[entry.index] = _cancelled_outcome(
-                        entry.index, entry.task
-                    )
-                running.clear()
-                for index, task in pending:
-                    outcomes[index] = _cancelled_outcome(index, task)
-                pending.clear()
-                for index, task, _attempt, _when in retries:
-                    outcomes[index] = _cancelled_outcome(index, task)
-                retries.clear()
-                break
 
             # Hard-deadline enforcement: kill overrunning workers.
             now = time.monotonic()
@@ -349,7 +301,7 @@ def run_tasks(
                     overran.append(entry)
             for entry in overran:
                 # SIGTERM first: a postmortem flight dump is worth one
-                # second of patience.  Cancellations kill outright.
+                # second of patience.
                 procs.terminate_then_kill(entry.process)
                 entry.conn.close()
                 running.remove(entry)
@@ -393,24 +345,18 @@ class EngineTask:
     engine: str
     timeout: Optional[float] = None
     learning_threshold: Optional[int] = None
-    #: Per-task JSONL trace file (tracing under concurrency; superseded
-    #: by the telemetry shard when ``telemetry`` is set).
-    trace_path: Optional[str] = None
-    #: Per-task log file for the worker's ``repro`` logger.
-    log_path: Optional[str] = None
     #: Log level for the worker; ``None`` inherits the parent's
-    #: configured level (the log-config inheritance fix) and falls back
-    #: to "info" when a log file was requested without one.
+    #: configured level (the log-config inheritance fix).  A task with
+    #: a telemetry shard logs to the shard's log file ("info" when no
+    #: level is set), any other task to its stderr.
     log_level: Optional[str] = None
     #: Portfolio width forwarded to ``run_engine`` (``portfolio`` engine
     #: only; the bench pool runs such cells inline with ``jobs=1`` so
     #: the portfolio owns the process budget).
     jobs: int = 1
-    #: Cross-process telemetry shard config (minted by a TelemetryHub).
+    #: Cross-process telemetry shard config (minted by a TelemetryHub):
+    #: the task's trace, metrics snapshot, log file and flight ring.
     telemetry: Optional["TelemetryConfig"] = None
-    #: Flight-recorder dump path for workers running *without* a
-    #: telemetry shard (the ring is always on once it has a home).
-    flight_path: Optional[str] = None
     #: Explicit hard kill deadline override (tests/CI).
     hard_timeout: Optional[float] = None
     #: Deliberate failure injection (tests/CI only): "abort" raises
@@ -419,104 +365,66 @@ class EngineTask:
 
 
 def _engine_worker(task: EngineTask) -> RunRecord:
-    """Worker body: solve one instance, with optional per-task obs."""
+    """Worker body: solve one instance, in its telemetry shard if any."""
     from repro.intervals import reset_interval_cache
-    from repro.itc99 import instance
-    from repro.obs import configure_logging
 
     # Cold interning cache per task: a worker process starts cold, so
     # the inline path must too or cache-hit-rate stats would depend on
     # execution mode and task order.
     reset_interval_cache()
-    if task.log_path is not None:
-        configure_logging(
-            task.log_level or "info",
-            stream=open(task.log_path, "w", encoding="utf-8"),
-        )
-    elif task.log_level:
-        configure_logging(task.log_level)
-    inst = instance(task.case, task.bound)
-    observation = None
-    tracer = None
-    flight = None
-    telemetry = None
-    if task.telemetry is not None:
-        from repro.obs.telemetry import WorkerTelemetry
+    if task.telemetry is None:
+        if task.log_level:
+            from repro.obs import configure_logging
 
-        telemetry = WorkerTelemetry(task.telemetry)
-        telemetry.install_signal_dump()
-        observation = telemetry.observation()
-    else:
-        emitter = None
-        if task.trace_path is not None:
-            from repro.obs import TraceEmitter
+            configure_logging(task.log_level)
+        return _solve_task(task)
+    from repro.obs.telemetry import WorkerTelemetry
 
-            tracer = TraceEmitter.open(task.trace_path)
-            emitter = tracer
-        if task.flight_path is not None:
-            from repro.obs import FlightRecorder, TeeEmitter
-            from repro.obs.telemetry import install_crash_dump_handler
-
-            flight = FlightRecorder()
-            emitter = TeeEmitter(tracer, flight)
-
-            def _dump(reason: str, _f=flight, _p=task.flight_path) -> None:
-                _f.dump(_p, reason=reason)
-                if tracer is not None:
-                    tracer.flush()
-
-            install_crash_dump_handler(_dump)
-        if emitter is not None:
-            from repro.obs import Observation
-
-            observation = Observation(tracer=emitter)
+    telemetry = WorkerTelemetry(task.telemetry)
+    telemetry.install_signal_dump()
+    telemetry.capture_log(task.log_level or "info")
     label = f"{task.case}({task.bound})/{task.engine}"
     start = time.perf_counter()
-    if telemetry is not None:
-        telemetry.task_begin(label)
+    telemetry.task_begin(label)
     try:
-        if task.inject_crash == "abort":
-            raise RuntimeError("injected crash (inject_crash='abort')")
-        if task.inject_crash == "hang":
-            time.sleep(3600.0)
-        record = run_engine(
-            inst,
-            task.engine,
-            task.timeout,
-            learning_threshold=task.learning_threshold,
-            observation=observation,
-            jobs=task.jobs,
-        )
+        record = _solve_task(task, telemetry.observation())
     except BaseException as error:
-        reason = f"{type(error).__name__}: {error}"
-        if telemetry is not None:
-            telemetry.task_end(label, "crash", time.perf_counter() - start)
-            telemetry.dump_flight(reason)
-            telemetry.close()
-        elif flight is not None:
-            flight.dump(task.flight_path, reason=reason)
-        if tracer is not None:
-            tracer.close()
+        logger.exception("task %s crashed", label)
+        telemetry.task_end(label, "crash", time.perf_counter() - start)
+        telemetry.dump_flight(f"{type(error).__name__}: {error}")
+        telemetry.close()
         raise
-    if telemetry is not None:
-        telemetry.task_end(label, record.status, time.perf_counter() - start)
-        metrics = {
+    telemetry.task_end(label, record.status, time.perf_counter() - start)
+    telemetry.record_metrics(
+        {
             name: value
             for name, value in dataclasses.asdict(record).items()
             if name != "bound"
             and isinstance(value, (int, float))
             and not isinstance(value, bool)
         }
-        telemetry.record_metrics(metrics)
-        telemetry.close()
-    if tracer is not None:
-        tracer.close()
+    )
+    telemetry.close()
     return record
 
 
-def _task_file_stem(index: int, spec: EngineTask) -> str:
-    engine = spec.engine.replace("+", "")
-    return f"task-{index:04d}-{spec.case}-{spec.bound}-{engine}"
+def _solve_task(task: EngineTask, observation=None) -> RunRecord:
+    """Build the task's instance and run its engine (or its injected
+    failure)."""
+    from repro.itc99 import instance
+
+    if task.inject_crash == "abort":
+        raise RuntimeError("injected crash (inject_crash='abort')")
+    if task.inject_crash == "hang":
+        time.sleep(3600.0)
+    return run_engine(
+        instance(task.case, task.bound),
+        task.engine,
+        task.timeout,
+        learning_threshold=task.learning_threshold,
+        observation=observation,
+        jobs=task.jobs,
+    )
 
 
 def outcome_to_record(
@@ -536,22 +444,19 @@ def outcome_to_record(
 def run_engine_tasks(
     specs: Sequence[EngineTask],
     jobs: int = 1,
-    worker_dir: Optional[str] = None,
     telemetry: Optional["TelemetryHub"] = None,
 ) -> List[RunRecord]:
     """Run engine tasks (parallel when ``jobs > 1``) into RunRecords.
 
     Crashed workers become ``-A-`` records carrying the exit reason;
-    hard-killed workers become ``-to-`` records.  ``worker_dir`` (a
-    directory, created on demand) gives every task its own trace and
-    log file — the artifacts CI uploads to diagnose worker crashes.
+    hard-killed workers become ``-to-`` records.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryHub`) gives
-    every task a per-worker shard instead: trace + resource samples +
-    flight ring + metrics snapshot, clock-aligned to the hub's epoch
-    (the caller merges afterwards).  Either way, a worker that dies
-    leaves a flight-recorder dump whose path is appended to the failed
-    record's note.
+    every task a per-worker shard in the hub's directory: trace,
+    resource samples, flight ring, metrics snapshot and log file
+    (``worker-<id>.log``), clock-aligned to the hub's epoch (the caller
+    merges afterwards).  A worker that dies leaves a flight-recorder
+    dump there, whose path is appended to the failed record's note.
     """
     from repro.obs import effective_level_spec
 
@@ -567,30 +472,6 @@ def run_engine_tasks(
             else spec
             for spec in specs
         ]
-    if worker_dir is not None:
-        directory = Path(worker_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        routed = []
-        for index, spec in enumerate(specs):
-            stem = _task_file_stem(index, spec)
-            routed.append(
-                dataclasses.replace(
-                    spec,
-                    trace_path=(
-                        str(directory / f"{stem}.trace.jsonl")
-                        if spec.engine.startswith("hdpll")
-                        and telemetry is None
-                        else None
-                    ),
-                    log_path=str(directory / f"{stem}.log"),
-                    flight_path=(
-                        str(directory / f"{stem}.flight.jsonl")
-                        if telemetry is None
-                        else None
-                    ),
-                )
-            )
-        specs = routed
     if telemetry is not None:
         specs = [
             dataclasses.replace(
@@ -621,17 +502,12 @@ def run_engine_tasks(
         record = outcome_to_record(
             outcome, spec.case, spec.bound, spec.engine
         )
-        dump = (
-            spec.telemetry.flight_path
-            if spec.telemetry is not None
-            else Path(spec.flight_path) if spec.flight_path else None
-        )
-        if dump is not None and Path(dump).exists():
+        if spec.telemetry is not None and spec.telemetry.flight_path.exists():
             note = record.note or ""
             record = dataclasses.replace(
                 record,
                 note=(note + "; " if note else "")
-                + f"flight recorder dump: {dump}",
+                + f"flight recorder dump: {spec.telemetry.flight_path}",
             )
         records.append(record)
     return records

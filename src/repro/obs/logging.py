@@ -22,7 +22,7 @@ LOGGER_NAME = "repro"
 #: Environment variable consulted when no explicit level is given.
 ENV_VAR = "REPRO_LOG"
 
-_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
+LOG_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 
 #: The level spec most recently applied by :func:`configure_logging`.
 #: Worker processes start from an interpreter that never ran
@@ -65,7 +65,7 @@ def configure_logging(
         if not getattr(handler, "_repro_cli_handler", False)
     ]
     handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
-    handler.setFormatter(logging.Formatter(_FORMAT))
+    handler.setFormatter(logging.Formatter(LOG_FORMAT))
     handler._repro_cli_handler = True  # type: ignore[attr-defined]
     logger.addHandler(handler)
     return numeric

@@ -16,7 +16,8 @@ gap:
   platform whose ``perf_counter`` is system-wide, which includes Linux
   CLOCK_MONOTONIC, Windows QPC and macOS mach time), then provides the
   worker's trace shard, always-on flight recorder, resource-sampler
-  thread, phase profiler and metrics snapshot file.
+  thread, phase profiler and metrics snapshot file, and, for a harness
+  task, its log file.
 * :func:`merge_shards` — the merge step.  Reads every shard (tolerant
   of torn final lines from killed workers), maps each event's local
   timestamp ``t`` to the parent epoch (``gt = offset + t``), annotates
@@ -35,6 +36,7 @@ Shard layout inside a telemetry directory::
     worker-<id>.trace.jsonl     # per-worker trace shard (schema v2)
     worker-<id>.metrics.json    # per-worker metrics snapshot
     worker-<id>.flight.jsonl    # flight-recorder dump (crashes only)
+    worker-<id>.log             # harness task log (``repro`` logger)
     timeline.jsonl              # merged timeline (written by merge)
     metrics.json / metrics.prom # aggregated metrics export
 """
@@ -42,6 +44,7 @@ Shard layout inside a telemetry directory::
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import time
@@ -50,6 +53,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder, TeeEmitter
+from repro.obs.logging import LOG_FORMAT, LOGGER_NAME, resolve_level
 from repro.obs.profile import (
     PROFILE_DRIFT_TOLERANCE,
     PhaseProfiler,
@@ -71,6 +75,8 @@ _SHARD_GLOB = "worker-*.trace.jsonl"
 _SHARD_RE = re.compile(r"^worker-(?P<id>.+)\.trace\.jsonl$")
 
 _SAFE_ID = re.compile(r"[^A-Za-z0-9_.+-]+")
+
+_logger = logging.getLogger(__name__)
 
 
 def _safe_id(worker_id: str) -> str:
@@ -109,6 +115,10 @@ class TelemetryConfig:
     @property
     def flight_path(self) -> Path:
         return Path(self.directory) / f"worker-{self.worker_id}.flight.jsonl"
+
+    @property
+    def log_path(self) -> Path:
+        return Path(self.directory) / f"worker-{self.worker_id}.log"
 
 
 class WorkerTelemetry:
@@ -150,6 +160,9 @@ class WorkerTelemetry:
             ).start()
         self.profiler = PhaseProfiler()
         self._metrics: Dict[str, Scalar] = {}
+        #: (file handler, the logger's level before it) while
+        #: :meth:`capture_log` is in effect.
+        self._log: Optional[Tuple[logging.Handler, int]] = None
         self._closed = False
 
     def observation(self):
@@ -167,10 +180,24 @@ class WorkerTelemetry:
 
     def task_begin(self, label: str) -> None:
         self.event("task_begin", label=label)
+        _logger.info("task %s: begin", label)
 
     def task_end(self, label: str, status: str, seconds: float) -> None:
         self.event("task_end", label=label, status=status,
                    seconds=round(seconds, 6))
+        _logger.info("task %s: %s in %.3fs", label, status, seconds)
+
+    def capture_log(self, level: str) -> None:
+        """Write the ``repro`` logger's records at ``level`` and above
+        to :attr:`TelemetryConfig.log_path` until :meth:`close`."""
+        handler = logging.FileHandler(self.config.log_path, encoding="utf-8")
+        handler.setLevel(resolve_level(level))
+        handler.setFormatter(logging.Formatter(LOG_FORMAT))
+        logger = logging.getLogger(LOGGER_NAME)
+        self._log = (handler, logger.level)
+        logger.addHandler(handler)
+        if logger.getEffectiveLevel() > handler.level:
+            logger.setLevel(handler.level)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -254,6 +281,12 @@ class WorkerTelemetry:
             self.tracer.event("shard_end",
                               events=self.tracer.events_emitted + 1)
             self.tracer.close()
+        if self._log is not None:
+            handler, level = self._log
+            logger = logging.getLogger(LOGGER_NAME)
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+            handler.close()
 
     def __enter__(self) -> "WorkerTelemetry":
         return self

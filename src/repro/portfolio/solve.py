@@ -388,9 +388,9 @@ def prove_by_induction_portfolio(
 ):
     """k-induction with every base/step query answered by the portfolio.
 
-    Runs :func:`repro.bmc.induction.prove_by_induction`'s depth loop
-    and returns its result type; ``case`` must name a registry property
-    (``b13_1``).
+    Runs :func:`repro.bmc.induction.induction_loop`, the depth loop of
+    :func:`~repro.bmc.induction.prove_by_induction`, and returns its
+    result type; ``case`` must name a registry property (``b13_1``).
     """
     from repro.bmc.induction import induction_loop
 

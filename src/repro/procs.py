@@ -2,10 +2,12 @@
 
 Both pools that run solver children -- the worker supervisor
 (:mod:`repro.portfolio.pool`), which every cube worker host drives, and
-the harness task pool
-(:mod:`repro.harness.parallel`) -- take their ``multiprocessing``
-context from :func:`context` and stop children with
-:func:`terminate_then_kill`.
+the harness task pool (:mod:`repro.harness.parallel`), which runs the
+table, scaling, ablation and bench cells one child per task -- take
+their ``multiprocessing`` context from :func:`context` and stop
+children with :func:`terminate_then_kill`: the supervisor when its
+host stops or loses a worker, the task pool only at a task's hard
+deadline.
 
 Children come from a ``multiprocessing`` fork server.  It starts on the
 first :func:`context` call in a process, runs :data:`PRELOAD` once (the

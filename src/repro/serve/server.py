@@ -134,6 +134,8 @@ class SolverServer:
             "status_unknown": 0,
             "deadline_expired": 0,
             "escalated": 0,
+            "cache_hits": 0,
+            "cache_misses": 0,
             "connections": 0,
         }
         self._latencies: List[float] = []
@@ -263,7 +265,7 @@ class SolverServer:
     # Connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
-        self.counters["connections"] += 1
+        self._count("connections")
         task = asyncio.current_task()
         if task is not None:
             self._connection_tasks.add(task)
@@ -324,8 +326,7 @@ class SolverServer:
             raise
         except Exception as error:  # one bad request must not kill the daemon
             logger.exception("serve: request failed")
-            self.counters["requests_error"] += 1
-            self._record({"serve_requests_error": 1})
+            self._count("requests_error")
             response = error_response(
                 request, f"{type(error).__name__}: {error}"
             )
@@ -360,21 +361,20 @@ class SolverServer:
             }
         if op == "solve":
             return await self._solve(request)
-        self.counters["requests_error"] += 1
+        self._count("requests_error")
         return error_response(request, f"unknown op {op!r}")
 
     async def _solve(self, request: Dict[str, object]) -> Dict[str, object]:
         arrival = time.perf_counter()
-        self.counters["requests_total"] += 1
-        self._record({"serve_requests_total": 1})
+        self._count("requests_total")
         if self._draining:
-            self.counters["requests_error"] += 1
+            self._count("requests_error")
             return error_response(request, "server is draining")
         try:
             case = str(request["case"])
             bound = int(request["bound"])  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError):
-            self.counters["requests_error"] += 1
+            self._count("requests_error")
             return error_response(
                 request, "solve needs 'case' (str) and 'bound' (int)"
             )
@@ -394,12 +394,11 @@ class SolverServer:
             try:
                 extra = _parse_assumptions(request.get("assumptions"))
             except ProtocolError as error:
-                self.counters["requests_error"] += 1
+                self._count("requests_error")
                 return error_response(request, str(error))
             try:
                 if jobs > 1:
-                    self.counters["escalated"] += 1
-                    self._record({"serve_escalated": 1})
+                    self._count("escalated")
                     result = await self._solve_portfolio(
                         case, bound, jobs, deadline
                     )
@@ -426,7 +425,7 @@ class SolverServer:
                     engine = "session"
                     session_solves = entry.session.session_solves
             except CircuitError as error:
-                self.counters["requests_error"] += 1
+                self._count("requests_error")
                 return error_response(request, str(error))
 
         wall_s = time.perf_counter() - arrival
@@ -497,10 +496,7 @@ class SolverServer:
             was_hit = self.cache.peek(salted) is not None
             entry = await self.cache.get_or_create(salted, build)
         state = "hit" if was_hit else "miss"
-        if state == "hit":
-            self._record({"serve_cache_hits": 1})
-        else:
-            self._record({"serve_cache_misses": 1})
+        self._count("cache_hits" if was_hit else "cache_misses")
         return entry, state
 
     async def _build_entry(
@@ -561,10 +557,7 @@ class SolverServer:
     # Response assembly and metrics
     # ------------------------------------------------------------------
     def _expired(self, request, queue_s: float, arrival: float):
-        self.counters["deadline_expired"] += 1
-        self.counters["status_unknown"] += 1
-        self.counters["requests_ok"] += 1
-        self._record({"serve_deadline_expired": 1, "serve_requests_ok": 1})
+        self._count("deadline_expired", "status_unknown", "requests_ok")
         wall_s = time.perf_counter() - arrival
         self._observe_latency(wall_s)
         return {
@@ -593,17 +586,12 @@ class SolverServer:
         want_model: bool,
     ) -> Dict[str, object]:
         status = result.status.value
-        self.counters["requests_ok"] += 1
-        self.counters[f"status_{status}"] += 1
-        self._record(
-            {"serve_requests_ok": 1, f"serve_status_{status}": 1}
-        )
+        self._count("requests_ok", f"status_{status}")
         if (
             result.status is Status.UNKNOWN
             and "timeout" in (result.note or "")
         ):
-            self.counters["deadline_expired"] += 1
-            self._record({"serve_deadline_expired": 1})
+            self._count("deadline_expired")
         self._observe_latency(wall_s)
         response: Dict[str, object] = {
             "id": request.get("id"),
@@ -636,9 +624,15 @@ class SolverServer:
         if self._since_flush >= max(1, self.config.metrics_flush_every):
             self.flush_telemetry()
 
-    def _record(self, values: Dict[str, object]) -> None:
+    def _count(self, *names: str) -> None:
+        """Add one to each named counter: in :attr:`counters` (the
+        ``stats`` op) and, as ``serve_<name>``, in the metrics export."""
+        for name in names:
+            self.counters[name] += 1
         if self._telemetry is not None:
-            self._telemetry.record_metrics(values)
+            self._telemetry.record_metrics(
+                {f"serve_{name}": 1 for name in names}
+            )
 
 
 def _remaining(deadline: Optional[float]) -> Optional[float]:

@@ -1,6 +1,6 @@
 """Incremental-session tests: unroller parity, probe-cache keying,
-clause eviction, first-finisher cancellation, and the randomized
-differential sweep (session vs one-shot BMC).
+clause eviction, and the randomized differential sweep (session vs
+one-shot BMC).
 
 The differential oracle is the load-bearing check: a persistent
 :class:`BmcSession` sweeping bounds 1..k must report exactly the same
@@ -221,37 +221,6 @@ def test_problem_clauses_are_never_disposable():
     db.add_clause(predicate)
     assert db.enforce_cap(1) == 0
     assert db.clauses_evicted == 0
-
-
-# ----------------------------------------------------------------------
-# First-finisher-decides cancellation
-# ----------------------------------------------------------------------
-
-
-def _outcome(tag):
-    return tag
-
-
-def test_stop_when_cancels_remaining_tasks():
-    tasks = [
-        Task(fn=_outcome, args=("base-sat",), label="base"),
-        Task(fn=_outcome, args=("step-unsat",), label="step"),
-        Task(fn=_outcome, args=("unused",), label="extra"),
-    ]
-    outcomes = run_tasks(
-        tasks, jobs=1, stop_when=lambda o: o.value == "base-sat"
-    )
-    assert outcomes[0].ok and outcomes[0].value == "base-sat"
-    assert not outcomes[1].ok and "cancelled" in outcomes[1].error
-    assert not outcomes[2].ok and "cancelled" in outcomes[2].error
-
-
-def test_stop_when_none_runs_everything():
-    tasks = [
-        Task(fn=_outcome, args=(i,), label=str(i)) for i in range(4)
-    ]
-    outcomes = run_tasks(tasks, jobs=1)
-    assert [o.value for o in outcomes] == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------

@@ -246,6 +246,13 @@ class TestProveCli:
         out = capsys.readouterr().out
         assert "proved" in out
 
+    def test_prove_induction_with_jobs(self, capsys):
+        # -j widens only prove --portfolio; plain prove runs the session
+        # loop at any -j and finds b04_1's counterexample at depth 3.
+        assert main(["-j", "2", "prove", "b04_1", "--max-k", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "b04_1: violated (k = 3)" in out
+
     def test_prove_abstraction(self, capsys):
         assert main(["prove", "b02_1", "--method", "abstraction"]) == 0
         out = capsys.readouterr().out

@@ -19,6 +19,7 @@ from repro.harness.parallel import (
     run_tasks,
 )
 from repro.obs import read_trace, validate_trace
+from repro.obs.telemetry import TelemetryHub
 
 
 # ----------------------------------------------------------------------
@@ -171,20 +172,23 @@ def test_engine_tasks_parallel_matches_sequential():
     assert all(r.status in ("S", "U") for r in sequential)
 
 
-def test_engine_tasks_worker_dir_traces(tmp_path):
-    worker_dir = tmp_path / "workers"
+def test_engine_tasks_telemetry_shards_and_logs(tmp_path):
+    hub = TelemetryHub(tmp_path)
     specs = [
         EngineTask(case="b01_1", bound=5, engine="hdpll+sp", timeout=60.0),
         EngineTask(case="b01_1", bound=5, engine="uclid", timeout=60.0),
     ]
-    records = run_engine_tasks(specs, jobs=2, worker_dir=str(worker_dir))
+    records = run_engine_tasks(specs, jobs=2, telemetry=hub)
     assert all(r.status in ("S", "U") for r in records)
-    traces = sorted(worker_dir.glob("*.trace.jsonl"))
-    # Only hdpll engines emit traces; the uclid task gets a log only.
-    assert len(traces) == 1
-    events = read_trace(str(traces[0]))
-    assert not validate_trace(events, complete=True)
-    assert sorted(p.name for p in worker_dir.glob("*.log"))
+    for index in range(len(specs)):
+        worker = f"worker-t{index:04d}"
+        events = read_trace(str(tmp_path / f"{worker}.trace.jsonl"))
+        assert events[0]["ev"] == "shard_begin"
+        assert events[-1]["ev"] == "shard_end"
+        assert not validate_trace(events, complete=False)
+        assert (tmp_path / f"{worker}.metrics.json").exists()
+        log = (tmp_path / f"{worker}.log").read_text()
+        assert f"{specs[index].case}(5)/{specs[index].engine}" in log
 
 
 def test_effective_bench_jobs_caps_at_cores():

@@ -113,6 +113,54 @@ def test_bad_requests_do_not_kill_the_connection():
     assert by_id[3]["ok"] and by_id[3]["pong"]
 
 
+def test_stats_counters_match_the_metrics_export(tmp_path):
+    """Every count reaches both views: the ``stats`` op's counters and
+    the ``serve_*`` counters of ``metrics.prom``.  Error replies and a
+    request expired before dispatch used to update only the first."""
+    from repro.obs.telemetry import parse_prometheus
+
+    async def run():
+        server = SolverServer(
+            ServeConfig(port=0, max_inflight=2, telemetry_dir=str(tmp_path))
+        )
+        await server.start()
+        ((_, (host, port)),) = server.endpoints()
+        reader, writer = await asyncio.open_connection(host, port)
+        replies = []
+        try:
+            for request in (
+                {"op": "solve", "id": 1, "case": _SAT[0]},
+                {"op": "no-such-op", "id": 2},
+                {"op": "solve", "id": 3, "case": _SAT[0], "bound": _SAT[1],
+                 "timeout_s": 0},
+                {"op": "stats", "id": 4},
+            ):
+                writer.write((json.dumps(request) + "\n").encode())
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await server.drain_and_stop()
+        return replies
+
+    missing_bound, unknown_op, expired, stats = asyncio.run(run())
+    assert not missing_bound["ok"] and not unknown_op["ok"]
+    assert expired["status"] == "unknown"
+    counters = stats["counters"]
+    assert counters["requests_error"] == 2
+    assert counters["status_unknown"] == 1
+    assert counters["deadline_expired"] == 1
+    prom = parse_prometheus((tmp_path / "metrics.prom").read_text())
+    exported = {
+        family[len("repro_serve_"):]: value
+        for (family, labels), value in prom.items()
+        if ("worker", "server") in labels
+        and family.startswith("repro_serve_")
+    }
+    assert {name: exported.get(name, 0) for name in counters} == counters
+
+
 def test_loadgen_summary():
     async def run():
         server, host, port = await _start_server()
