@@ -319,16 +319,22 @@ class DomainStore:
         self._level_marks.append(len(self.trail))
         return self.decision_level
 
-    def backtrack_to(self, level: int) -> None:
-        """Undo every event above ``level`` (which becomes current)."""
+    def backtrack_to(self, level: int) -> List[Event]:
+        """Undo every event above ``level`` (which becomes current).
+
+        Returns the popped trail segment, oldest first, so decision
+        heuristics can update their bookkeeping for exactly the
+        variables the backjump unassigned.
+        """
         if level < 0 or level > self.decision_level:
             raise SolverError(
                 f"cannot backtrack to level {level} from {self.decision_level}"
             )
         if level == self.decision_level:
-            return
+            return []
         keep = self._level_marks[level + 1]
-        for event in reversed(self.trail[keep:]):
+        popped = self.trail[keep:]
+        for event in reversed(popped):
             index = event.var.index
             old = event.old
             self.domains[index] = old
@@ -341,6 +347,7 @@ class DomainStore:
         del self.trail[keep:]
         del self._level_marks[level + 1 :]
         self.decision_level = level
+        return popped
 
     # ------------------------------------------------------------------
     # Introspection helpers

@@ -6,16 +6,24 @@ that it appears in": variable activity is seeded with the net's
 transitive fanout count, bumped whenever the variable appears in a
 learned clause, and decayed multiplicatively after every conflict —
 VSIDS with a structural seed.
+
+Selection pops a max-activity heap with lazy deletion: a bump pushes a
+fresh entry and leaves the superseded one to be discarded when it
+surfaces, and a pick discards the entries of assigned variables.  A
+backjump re-pushes only the variables it unassigned that hold no
+current entry (MiniSat's order heap re-inserts exactly those), so the
+heap is rebuilt only when it has grown to twice the candidate count,
+or when activities are rescaled.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constraints.clause import Clause
 from repro.constraints.compile import CompiledSystem
-from repro.constraints.store import DomainStore
+from repro.constraints.store import DomainStore, Event
 from repro.constraints.variable import Variable, VarOrigin
 from repro.rtl.levelize import (
     transitive_fanout_count,
@@ -24,7 +32,7 @@ from repro.rtl.levelize import (
 
 
 class ActivityOrder:
-    """Max-activity variable selection with lazy-deletion heap."""
+    """Max-activity variable selection with a lazy-deletion heap."""
 
     def __init__(
         self,
@@ -50,6 +58,11 @@ class ActivityOrder:
             self.activity[var.index] = float(counts[net.index])
         self._heap: List[Tuple[float, int]] = []
         self._var_by_index = {var.index: var for var in self.candidates}
+        #: Per variable index: 1 while the heap holds an entry at the
+        #: variable's current activity.  A pick that discards an
+        #: assigned variable's entry clears it; a backjump that
+        #: unassigns the variable re-pushes it only when it is clear.
+        self._queued = bytearray(len(system.variables))
         self._rebuild_heap()
         self._bump_amount = 1.0
         self._decay = decay
@@ -71,6 +84,13 @@ class ActivityOrder:
             (-self.activity[var.index], var.index) for var in self.candidates
         ]
         heapq.heapify(self._heap)
+        queued = self._queued
+        for var in self.candidates:
+            queued[var.index] = 1
+
+    def _push(self, index: int) -> None:
+        heapq.heappush(self._heap, (-self.activity[index], index))
+        self._queued[index] = 1
 
     def add_candidates(
         self, system: CompiledSystem, variables: List[Variable]
@@ -82,6 +102,7 @@ class ActivityOrder:
         scaling are untouched, so learned search guidance carries over
         to the extended problem.
         """
+        self._queued.extend(bytes(len(system.variables) - len(self._queued)))
         for var in variables:
             if not (var.is_bool and var.origin is VarOrigin.NET):
                 continue
@@ -93,7 +114,7 @@ class ActivityOrder:
             self._var_by_index[var.index] = var
             self.candidates.append(var)
             self.phase.setdefault(var.index, self._default_phase)
-            heapq.heappush(self._heap, (-activity, var.index))
+            self._push(var.index)
 
     # ------------------------------------------------------------------
     # Activity maintenance
@@ -102,7 +123,7 @@ class ActivityOrder:
         if var.index not in self.activity:
             return
         self.activity[var.index] += self._bump_amount
-        heapq.heappush(self._heap, (-self.activity[var.index], var.index))
+        self._push(var.index)
 
     def bump_clause(self, clause: Clause) -> None:
         for literal in clause.literals:
@@ -125,9 +146,7 @@ class ActivityOrder:
         )
         if var.index in self.activity:
             self.activity[var.index] += weight
-            heapq.heappush(
-                self._heap, (-self.activity[var.index], var.index)
-            )
+            self._push(var.index)
 
     # ------------------------------------------------------------------
     # Selection
@@ -143,21 +162,29 @@ class ActivityOrder:
             var = self._var_by_index[index]
             if self.store.is_assigned(var):
                 heapq.heappop(self._heap)
+                self._queued[index] = 0
                 self.stale_pops += 1
                 continue
             self.picks += 1
             return var, self.phase.get(index, 1)
         return None
 
-    def replenish(self) -> None:
-        """Re-add all candidates (after backtracking frees variables)."""
-        self._rebuild_heap()
+    def backtracked(self, popped: Sequence[Event]) -> None:
+        """Re-queue the candidates a backjump unassigned.
+
+        ``popped`` is the trail segment the backjump undid.  Only a
+        variable whose current entry a pick discarded needs a new one;
+        every other candidate still holds its entry, so the pick stays
+        the highest-activity unassigned candidate.
+        """
+        queued = self._queued
+        activity = self.activity
+        for event in popped:
+            index = event.var.index
+            if not queued[index] and index in activity:
+                self._push(index)
+        if len(self._heap) > 2 * len(self.candidates):
+            self._rebuild_heap()
 
     def save_phase(self, var: Variable, value: int) -> None:
         self.phase[var.index] = value
-
-    def free_candidates(self) -> List[Variable]:
-        """All currently unassigned decision candidates."""
-        return [
-            var for var in self.candidates if not self.store.is_assigned(var)
-        ]

@@ -440,23 +440,17 @@ class HdpllSolver:
         """
         if self.store.decision_level != 0:
             raise SolverError("extension is only legal at level 0")
+        nodes = list(nodes)
         extension = extend_compiled(
             self.system,
-            list(nodes),
+            nodes,
             mux_select_implication=self.config.mux_select_implication,
         )
         self.store.add_variables(extension.variables)
         self.engine.extend(extension.propagators)
         self.order.add_candidates(self.system, extension.variables)
         if self._structural is not None:
-            from repro.core.justify import StructuralDecide
-
-            # The justification frontier is levelization-based; rebuild
-            # it over the grown circuit (O(circuit), amortised by the
-            # recompilation it replaces).
-            self._structural = StructuralDecide(
-                self.system, self.store, self.order, tracer=self._trace
-            )
+            self._structural.extend(nodes)
         self._pending_saturation = True
         return extension
 
@@ -755,9 +749,11 @@ class HdpllSolver:
         return None, resolved
 
     def _backtrack(self, level: int) -> None:
-        self.store.backtrack_to(level)
+        popped = self.store.backtrack_to(level)
         self.engine.notify_backtrack()
-        self.order.replenish()
+        self.order.backtracked(popped)
+        if self._structural is not None:
+            self._structural.backtracked(popped)
 
     def _install_learned(
         self, clause: Clause, backtrack_level: int

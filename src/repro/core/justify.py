@@ -31,17 +31,36 @@ reports the same antecedent cut.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from array import array
+from itertools import chain, islice
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.constraints.compile import CompiledSystem
 from repro.constraints.propagators import BoolGateProp, LinearEqProp, MuxProp
-from repro.constraints.store import Conflict, DomainStore
+from repro.constraints.store import Conflict, DomainStore, Event
 from repro.constraints.variable import Variable, VarOrigin
 from repro.core.decide import ActivityOrder
-from repro.rtl.levelize import levelize
+from repro.rtl.circuit import Node
 from repro.rtl.types import OpKind
 
 Decision = Tuple[Variable, int]
+
+#: Node kinds at level 0 (the levelization sources).
+_SOURCE_KINDS = (OpKind.INPUT, OpKind.CONST, OpKind.REG)
+
+
+def _justifiable(prop) -> bool:
+    """Whether ``_requirement`` can ever report ``prop`` unjustified."""
+    if isinstance(prop, MuxProp):
+        return True
+    if isinstance(prop, BoolGateProp):
+        return prop.kind not in (OpKind.NOT, OpKind.BUF)
+    if isinstance(prop, LinearEqProp):
+        return any(
+            var.origin is VarOrigin.AUXILIARY and var.is_bool
+            for var in prop.variables
+        )
+    return False
 
 
 class StructuralDecide:
@@ -60,55 +79,189 @@ class StructuralDecide:
         #: Optional :class:`repro.obs.TraceEmitter`; when set, every
         #: frontier action becomes a ``jfrontier`` trace event.
         self._trace = tracer
-        levels = levelize(system.circuit)
-        #: node index -> (negative level, node index) sort key; high
+        #: Node index -> level (distance from the primary inputs); high
         #: levels (near outputs) are justified first.
-        self._level_of: Dict[int, int] = {}
-        #: driver node index for each variable index (net-backed only).
-        self._node_of_var: Dict[int, int] = {}
-        for node in system.circuit.nodes:
-            self._level_of[node.index] = levels.get(node.output.index, 0)
-            if node.index in system.prop_of_node:
-                out_var = system.var(node.output)
-                self._node_of_var[out_var.index] = node.index
+        self._level_of = array("i")
+        #: Variable index -> index of the compiled node driving it, or -1.
+        self._node_of_var = array("i")
+        #: Variable index -> the justifiable nodes whose requirement
+        #: reads it, as singly linked lists in flat arrays:
+        #: ``_watch_head[var]`` is the first entry (-1: none),
+        #: ``_watch_node[entry]`` its node, ``_watch_next[entry]`` the
+        #: next entry.  Appended nodes only prepend entries.
+        self._watch_head = array("i")
+        self._watch_node = array("i")
+        self._watch_next = array("i")
+        self._add_nodes(system.circuit.topological_nodes())
+        self._reset()
+
+    def _add_nodes(self, nodes: Iterable[Node]) -> None:
+        """Level and index ``nodes`` (given in dependency order).
+
+        A node's level depends on its operands alone, so appending nodes
+        never changes an existing node's level or index entries.
+        """
+        system = self.system
+        level_of = self._level_of
+        new_nodes = len(system.circuit.nodes) - len(level_of)
+        level_of.extend(array("i", [0]) * new_nodes)
+        missing = len(system.variables) - len(self._node_of_var)
+        self._node_of_var.extend(array("i", [-1]) * missing)
+        self._watch_head.extend(array("i", [-1]) * missing)
+        node_of_var = self._node_of_var
+        head = self._watch_head
+        watch_node = self._watch_node
+        watch_next = self._watch_next
+        prop_of_node = system.prop_of_node
+        for node in nodes:
+            index = node.index
+            if node.kind not in _SOURCE_KINDS:
+                level_of[index] = 1 + max(
+                    level_of[operand.driver.index] for operand in node.operands
+                )
+            prop = prop_of_node.get(index)
+            if prop is None:
+                continue
+            node_of_var[system.var(node.output).index] = index
+            if not _justifiable(prop):
+                continue
+            for var in dict.fromkeys(prop.variables):
+                watch_node.append(index)
+                watch_next.append(head[var.index])
+                head[var.index] = len(watch_node) - 1
+
+    def extend(self, nodes: Sequence[Node]) -> None:
+        """Absorb nodes appended to the circuit (frame extension).
+
+        ``nodes`` must already be compiled into the system, in
+        dependency order.  The per-query state starts over, as for a
+        fresh instance: the frontier of the grown system is re-derived
+        from its trail, against a baseline the next level-0 fixpoint
+        snapshots.
+        """
+        self._add_nodes(nodes)
+        self._reset()
+
+    def _reset(self) -> None:
+        """Per-query state, as a fresh instance starts with it."""
         #: Persistent candidate set: nodes whose output was ever
-        #: constrained.  Entries are checked lazily and never removed, so
-        #: backtracking cannot lose frontier entries.
+        #: constrained.  Entries are never removed, so backtracking
+        #: cannot lose frontier entries.
         self._candidates: Set[int] = set()
+        #: The candidates that are unjustified at the synced trail.
+        self._live: Set[int] = set()
+        #: Length of the trail prefix ``_live`` reflects, and the event
+        #: ending it: a later sync finds that event in place unless a
+        #: backjump bypassed :meth:`backtracked`.
+        self._synced = 0
+        self._last_event: Optional[Event] = None
+        #: Synced events undone by backjumps since the last sync.
+        self._popped: List[Sequence[Event]] = []
+        #: Re-derive every candidate at the next sync (new baseline,
+        #: unnoted backjump, fresh state).
+        self._recheck_all = True
+        #: Trail position up to which events were scanned for candidates.
         self._scanned = 0
         #: Level-0 fixpoint domains (set after pre-processing): only
         #: narrowings *beyond* this baseline are requirements.  Without
         #: it, facts derived by static learning would flood the frontier.
-        self._baseline = [var.initial_domain for var in system.variables]
+        self._baseline = [var.initial_domain for var in self.system.variables]
 
     def snapshot_baseline(self) -> None:
         """Record the current domains as the no-requirement baseline."""
         self._baseline = list(self.store.domains)
+        self._recheck_all = True
 
     # ------------------------------------------------------------------
     # Frontier maintenance
     # ------------------------------------------------------------------
-    def _drain_events(self) -> None:
-        self._scanned = min(self._scanned, len(self.store.trail))
-        while self._scanned < len(self.store.trail):
-            event = self.store.trail[self._scanned]
-            self._scanned += 1
-            node_index = self._node_of_var.get(event.var.index)
-            if node_index is not None:
-                self._candidates.add(node_index)
+    def backtracked(self, popped: Sequence[Event]) -> None:
+        """Note a backjump; ``popped`` is the trail segment it undid."""
+        if not popped or self._recheck_all:
+            return
+        keep = popped[0].id
+        synced = self._synced
+        if keep >= synced:
+            return  # only events no sync has seen were undone
+        if (
+            synced - keep > len(popped)
+            or popped[synced - keep - 1] is not self._last_event
+        ):
+            # The synced prefix was already rewound by a backjump that
+            # bypassed this hook.
+            self._recheck_all = True
+            return
+        self._popped.append(popped[: synced - keep])
+        self._synced = keep
+        self._last_event = self.store.trail[keep - 1] if keep else None
+
+    def _sync(self) -> None:
+        """Bring the candidate and live sets up to the current trail.
+
+        Only candidates with a variable that changed since the last
+        sync (on a new event or on one a backjump undid) are re-checked;
+        a node's requirement reads nothing but its propagator's
+        variables and the baseline.
+        """
+        trail = self.store.trail
+        end = len(trail)
+        candidates = self._candidates
+        dirty: Set[int] = set()
+        node_of_var = self._node_of_var
+        self._scanned = min(self._scanned, end)
+        for event in islice(trail, self._scanned, end):
+            node_index = node_of_var[event.var.index]
+            if node_index >= 0 and node_index not in candidates:
+                candidates.add(node_index)
+                dirty.add(node_index)
+        self._scanned = end
+        synced = self._synced
+        if (
+            self._recheck_all
+            or synced > end
+            or (synced and trail[synced - 1] is not self._last_event)
+        ):
+            dirty = candidates
+            self._recheck_all = False
+        else:
+            head = self._watch_head
+            watch_node = self._watch_node
+            watch_next = self._watch_next
+            changed = chain(
+                chain.from_iterable(self._popped), islice(trail, synced, end)
+            )
+            for event in changed:
+                entry = head[event.var.index]
+                while entry >= 0:
+                    dirty.add(watch_node[entry])
+                    entry = watch_next[entry]
+        self._popped.clear()
+        self._synced = end
+        self._last_event = trail[end - 1] if end else None
+        live = self._live
+        prop_of_node = self.system.prop_of_node
+        requirement = self._requirement
+        for node_index in dirty:
+            if node_index not in candidates:
+                continue
+            if requirement(prop_of_node[node_index]) is not None:
+                live.add(node_index)
+            else:
+                live.discard(node_index)
 
     def frontier(self) -> List[int]:
-        """Current J-frontier: unjustified candidate nodes, by level desc."""
-        self._drain_events()
-        live = []
-        for node_index in self._candidates:
-            prop = self.system.prop_of_node.get(node_index)
-            if prop is None:
-                continue
-            if self._requirement(prop) is not None:
-                live.append(node_index)
-        live.sort(key=lambda index: -self._level_of[index])
-        return live
+        """Current J-frontier: unjustified candidate nodes, by level desc.
+
+        Nodes of equal level keep the candidate set's iteration order.
+        """
+        self._sync()
+        live = self._live
+        if not live:
+            return []
+        nodes = [index for index in self._candidates if index in live]
+        level_of = self._level_of
+        nodes.sort(key=lambda index: -level_of[index])
+        return nodes
 
     # ------------------------------------------------------------------
     # Justifiability checks (Definition 4.1)
@@ -263,12 +416,8 @@ class StructuralDecide:
         def weight(var: Variable) -> Tuple[float, int]:
             activity = self.order.activity.get(var.index, 0.0)
             static = self.order.static_weight.get(var.index, 0.0)
-            node_index = self._node_of_var.get(var.index)
-            level = (
-                self._level_of.get(node_index, 0)
-                if node_index is not None
-                else 0
-            )
+            node_index = self._node_of_var[var.index]
+            level = self._level_of[node_index] if node_index >= 0 else 0
             return (activity + static, -level)
 
         return max(candidates, key=weight)

@@ -163,6 +163,8 @@ class WorkerTelemetry:
         #: (file handler, the logger's level before it) while
         #: :meth:`capture_log` is in effect.
         self._log: Optional[Tuple[logging.Handler, int]] = None
+        #: The SIGTERM handler :meth:`install_signal_dump` replaced.
+        self._sigterm = None
         self._closed = False
 
     def observation(self):
@@ -264,10 +266,12 @@ class WorkerTelemetry:
             if self.tracer is not None:
                 self.tracer.flush()
 
-        install_crash_dump_handler(_dump)
+        self._sigterm = install_crash_dump_handler(_dump)
 
     def close(self) -> None:
-        """Stop the sampler, seal the shard, write the metrics file."""
+        """Stop the sampler, seal the shard, write the metrics file,
+        and put back the SIGTERM handler :meth:`install_signal_dump`
+        replaced (a task run inline must not leave it in the caller)."""
         if self._closed:
             return
         self._closed = True
@@ -287,6 +291,11 @@ class WorkerTelemetry:
             logger.removeHandler(handler)
             logger.setLevel(level)
             handler.close()
+        if self._sigterm is not None:
+            import signal
+
+            signal.signal(signal.SIGTERM, self._sigterm)
+            self._sigterm = None
 
     def __enter__(self) -> "WorkerTelemetry":
         return self
@@ -300,13 +309,17 @@ class WorkerTelemetry:
 CRASH_DUMP_EXIT_CODE = 70
 
 
-def install_crash_dump_handler(dump, exit_code: int = CRASH_DUMP_EXIT_CODE) -> None:
+def install_crash_dump_handler(dump, exit_code: int = CRASH_DUMP_EXIT_CODE):
     """Install a SIGTERM handler that calls ``dump(reason)`` then exits.
 
     ``dump`` must be async-signal-tolerant in practice: append-only ring
     snapshot plus one file write.  Installation is skipped silently off
     the main thread (``signal`` refuses there) — the pool worker entry
     point is always the main thread, so that only affects odd embeddings.
+
+    Returns the handler it replaced, for the caller to put back once
+    its task is over, or ``None`` when nothing was installed or the
+    previous handler was not set from Python.
     """
     import signal
 
@@ -317,9 +330,9 @@ def install_crash_dump_handler(dump, exit_code: int = CRASH_DUMP_EXIT_CODE) -> N
             os._exit(exit_code)
 
     try:
-        signal.signal(signal.SIGTERM, _handler)
+        return signal.signal(signal.SIGTERM, _handler)
     except ValueError:
-        pass
+        return None
 
 
 class TelemetryHub:

@@ -1,5 +1,7 @@
 """Tests for the structural decision strategy (Section 4, Figures 3–4)."""
 
+import random
+
 import pytest
 
 from repro.constraints import (
@@ -168,38 +170,40 @@ class TestSection43Conflict:
         assert result.is_unsat
 
 
+def random_circuit(seed):
+    """A small random word/Boolean circuit and a seeded assumption set."""
+    rng = random.Random(seed * 7919)
+    b = CircuitBuilder(f"agree{seed}")
+    words = [b.input("w0", 3), b.input("w1", 3)]
+    bools = [b.input("b0", 1)]
+    for _ in range(rng.randint(4, 10)):
+        roll = rng.random()
+        if roll < 0.3:
+            words.append(
+                getattr(b, rng.choice(["add", "sub"]))(
+                    rng.choice(words), rng.choice(words)
+                )
+            )
+        elif roll < 0.6:
+            kind = rng.choice(["eq", "ne", "lt", "le", "gt", "ge"])
+            bools.append(
+                getattr(b, kind)(rng.choice(words), rng.choice(words))
+            )
+        elif roll < 0.8 and len(bools) >= 2:
+            bools.append(b.and_(rng.choice(bools), rng.choice(bools)))
+        else:
+            words.append(
+                b.mux(rng.choice(bools), rng.choice(words), rng.choice(words))
+            )
+    b.output("flag", bools[-1])
+    b.output("word", words[-1])
+    return b.build(), {"flag": 1, "word": rng.randint(0, 7)}
+
+
 class TestStructuralAgreesWithBase:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_agreement(self, seed):
-        import random
-
-        rng = random.Random(seed * 7919)
-        b = CircuitBuilder(f"agree{seed}")
-        words = [b.input("w0", 3), b.input("w1", 3)]
-        bools = [b.input("b0", 1)]
-        for _ in range(rng.randint(4, 10)):
-            roll = rng.random()
-            if roll < 0.3:
-                words.append(
-                    getattr(b, rng.choice(["add", "sub"]))(
-                        rng.choice(words), rng.choice(words)
-                    )
-                )
-            elif roll < 0.6:
-                kind = rng.choice(["eq", "ne", "lt", "le", "gt", "ge"])
-                bools.append(
-                    getattr(b, kind)(rng.choice(words), rng.choice(words))
-                )
-            elif roll < 0.8 and len(bools) >= 2:
-                bools.append(b.and_(rng.choice(bools), rng.choice(bools)))
-            else:
-                words.append(
-                    b.mux(rng.choice(bools), rng.choice(words), rng.choice(words))
-                )
-        b.output("flag", bools[-1])
-        b.output("word", words[-1])
-        circuit = b.build()
-        assumptions = {"flag": 1, "word": rng.randint(0, 7)}
+        circuit, assumptions = random_circuit(seed)
         base = solve_circuit(circuit, assumptions)
         structural = solve_circuit(circuit, assumptions, HDPLL_S)
         assert base.status == structural.status

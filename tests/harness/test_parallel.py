@@ -8,6 +8,7 @@ would not pickle.
 from __future__ import annotations
 
 import os
+import signal
 from pathlib import Path
 
 from repro.harness.parallel import (
@@ -189,6 +190,17 @@ def test_engine_tasks_telemetry_shards_and_logs(tmp_path):
         assert (tmp_path / f"{worker}.metrics.json").exists()
         log = (tmp_path / f"{worker}.log").read_text()
         assert f"{specs[index].case}(5)/{specs[index].engine}" in log
+
+
+def test_inline_telemetry_task_restores_sigterm_handler(tmp_path):
+    # An inline task installs the flight-dump SIGTERM handler for its
+    # duration only; the caller's handler is back once it is done.
+    before = signal.getsignal(signal.SIGTERM)
+    hub = TelemetryHub(tmp_path)
+    spec = EngineTask(case="b01_1", bound=5, engine="hdpll", timeout=60.0)
+    records = run_engine_tasks([spec], jobs=1, telemetry=hub)
+    assert records[0].status in ("S", "U")
+    assert signal.getsignal(signal.SIGTERM) == before
 
 
 def test_effective_bench_jobs_caps_at_cores():
