@@ -157,11 +157,9 @@ class StructuralDecide:
         self._last_event: Optional[Event] = None
         #: Synced events undone by backjumps since the last sync.
         self._popped: List[Sequence[Event]] = []
-        #: Re-derive every candidate at the next sync (new baseline,
-        #: unnoted backjump, fresh state).
+        #: Re-derive the candidate and live sets from the whole trail at
+        #: the next sync (fresh state, new baseline, unnoted backjump).
         self._recheck_all = True
-        #: Trail position up to which events were scanned for candidates.
-        self._scanned = 0
         #: Level-0 fixpoint domains (set after pre-processing): only
         #: narrowings *beyond* this baseline are requirements.  Without
         #: it, facts derived by static learning would flood the frontier.
@@ -176,7 +174,12 @@ class StructuralDecide:
     # Frontier maintenance
     # ------------------------------------------------------------------
     def backtracked(self, popped: Sequence[Event]) -> None:
-        """Note a backjump; ``popped`` is the trail segment it undid."""
+        """Note a backjump; ``popped`` is the trail segment it undid.
+
+        The synced prefix shrinks to what the backjump kept, so the next
+        sync scans every event propagation pushes after it, however far
+        the trail regrows.
+        """
         if not popped or self._recheck_all:
             return
         keep = popped[0].id
@@ -198,6 +201,7 @@ class StructuralDecide:
     def _sync(self) -> None:
         """Bring the candidate and live sets up to the current trail.
 
+        Every event past the synced prefix makes its node a candidate.
         Only candidates with a variable that changed since the last
         sync (on a new event or on one a backjump undid) are re-checked;
         a node's requirement reads nothing but its propagator's
@@ -205,22 +209,23 @@ class StructuralDecide:
         """
         trail = self.store.trail
         end = len(trail)
+        synced = self._synced
+        recheck_all = (
+            self._recheck_all
+            or synced > end
+            or (synced and trail[synced - 1] is not self._last_event)
+        )
+        if recheck_all:
+            synced = 0
         candidates = self._candidates
         dirty: Set[int] = set()
         node_of_var = self._node_of_var
-        self._scanned = min(self._scanned, end)
-        for event in islice(trail, self._scanned, end):
+        for event in islice(trail, synced, end):
             node_index = node_of_var[event.var.index]
             if node_index >= 0 and node_index not in candidates:
                 candidates.add(node_index)
                 dirty.add(node_index)
-        self._scanned = end
-        synced = self._synced
-        if (
-            self._recheck_all
-            or synced > end
-            or (synced and trail[synced - 1] is not self._last_event)
-        ):
+        if recheck_all:
             dirty = candidates
             self._recheck_all = False
         else:

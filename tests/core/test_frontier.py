@@ -58,6 +58,22 @@ def oracle_frontier(decide):
     return live
 
 
+def uncovered_outputs(decide):
+    """Compiled nodes whose output has an event on the current trail but
+    which are missing from the candidate set (must be none)."""
+    system = decide.system
+    latest_event = decide.store.latest_event
+    return [
+        node_index
+        for node_index in system.prop_of_node
+        if latest_event[
+            system.var(system.circuit.nodes[node_index].output).index
+        ]
+        is not None
+        and node_index not in decide._candidates
+    ]
+
+
 def oracle_pick(order, store):
     """The pick of a heap freshly built over every candidate."""
     heap = [
@@ -106,6 +122,7 @@ class Checker:
 
             def checked_next_decision():
                 assert decide.frontier() == oracle_frontier(decide)
+                assert not uncovered_outputs(decide)
                 self.frontiers += 1
                 return next_decision()
 
@@ -218,6 +235,29 @@ def _watch_lists(decide):
     return lists
 
 
+@pytest.mark.parametrize("case,bound", [("b13_40", 20), ("b06_40", 12)])
+def test_candidates_cover_outputs_narrowed_after_a_backjump(case, bound):
+    """Propagation after a backjump can regrow the trail past the point
+    the previous frontier read ended; the events in between must still
+    make their nodes candidates."""
+    inst = instance(case, bound)
+    solver = HdpllSolver(inst.circuit, HDPLL_S)
+    decide = solver._structural
+    frontier = decide.frontier
+    reads = []
+
+    def checked_frontier():
+        nodes = frontier()
+        reads.append(len(uncovered_outputs(decide)))
+        return nodes
+
+    decide.frontier = checked_frontier
+    result = solver.solve(inst.assumptions)
+    assert result.stats.conflicts > 0
+    assert len(reads) >= result.stats.structural_decisions > 0
+    assert not any(reads)
+
+
 def test_direct_backtrack_falls_back_to_a_full_recheck():
     """A bare StructuralDecide driven through ``store.backtrack_to``
     (no backjump hook) must still agree with the oracle."""
@@ -236,6 +276,7 @@ def test_direct_backtrack_falls_back_to_a_full_recheck():
     for depth in (3, 2, 4, 1, 3):
         while store.decision_level < depth:
             assert decide.frontier() == oracle_frontier(decide)
+            assert not uncovered_outputs(decide)
             checks += 1
             outcome = decide.next_decision()
             if not isinstance(outcome, tuple):
@@ -246,6 +287,7 @@ def test_direct_backtrack_falls_back_to_a_full_recheck():
         store.backtrack_to(min(depth // 2, store.decision_level))
         engine.notify_backtrack()
         assert decide.frontier() == oracle_frontier(decide)
+        assert not uncovered_outputs(decide)
     assert checks >= 5
 
 
