@@ -14,11 +14,22 @@ decisions that justify them:
   select towards a branch whose interval intersects the requirement
   (the Figure 4 walk-through).
 
-The frontier is maintained implicitly: every trail event on an
-operator's output makes that operator a *candidate*; candidates are
-re-checked lazily, highest level first, so justification flows from the
-constrained outputs back towards the primary inputs — the breadth-first
-trace of Section 4.2.
+Every trail event on an operator's output makes that operator a
+*candidate*, and the frontier is the unjustified candidates, highest
+level first, so justification flows from the constrained outputs back
+towards the primary inputs — the breadth-first trace of Section 4.2.
+
+The frontier is kept up to date per trail change, not recomputed per
+decision.  A node's justifiability reads only its propagator's
+variables, so each frontier read re-checks just the candidates with a
+variable that changed since the previous read: one on a new trail event
+or on an event a backjump undid (the solver hands every popped trail
+segment to :meth:`StructuralDecide.backtracked`).  A var -> node index
+in flat arrays finds them.  A backjump that bypasses the hook (a direct
+``store.backtrack_to``, as predicate-learning probes do) is caught by an
+identity check on the last synced event and answered by a full
+re-check.  Frame extension adds levels and index entries for the
+appended nodes only.
 
 **J-conflicts (Section 4.3).**  With bounds-consistent propagators, a
 frontier entry none of whose branches can meet the requirement is almost
@@ -48,19 +59,8 @@ Decision = Tuple[Variable, int]
 #: Node kinds at level 0 (the levelization sources).
 _SOURCE_KINDS = (OpKind.INPUT, OpKind.CONST, OpKind.REG)
 
-
-def _justifiable(prop) -> bool:
-    """Whether ``_requirement`` can ever report ``prop`` unjustified."""
-    if isinstance(prop, MuxProp):
-        return True
-    if isinstance(prop, BoolGateProp):
-        return prop.kind not in (OpKind.NOT, OpKind.BUF)
-    if isinstance(prop, LinearEqProp):
-        return any(
-            var.origin is VarOrigin.AUXILIARY and var.is_bool
-            for var in prop.variables
-        )
-    return False
+#: Propagator types whose nodes ``_requirement`` can find unjustified.
+_JUSTIFIABLE = (MuxProp, BoolGateProp, LinearEqProp)
 
 
 class StructuralDecide:
@@ -123,7 +123,7 @@ class StructuralDecide:
             if prop is None:
                 continue
             node_of_var[system.var(node.output).index] = index
-            if not _justifiable(prop):
+            if not isinstance(prop, _JUSTIFIABLE):
                 continue
             for var in dict.fromkeys(prop.variables):
                 watch_node.append(index)
@@ -163,7 +163,9 @@ class StructuralDecide:
         #: Level-0 fixpoint domains (set after pre-processing): only
         #: narrowings *beyond* this baseline are requirements.  Without
         #: it, facts derived by static learning would flood the frontier.
-        self._baseline = [var.initial_domain for var in self.system.variables]
+        self._baseline = [
+            var.initial_domain for var in self.system.variables
+        ]
 
     def snapshot_baseline(self) -> None:
         """Record the current domains as the no-requirement baseline."""

@@ -206,19 +206,28 @@ def test_bmc_session_extending_frames(config):
     session = BmcSession(circuit("b13"), CIRCUITS["b13"][1]["40"], config)
     solver = session.session.solver
     checker = Checker().attach(solver)
+    decide = solver._structural
     statuses = []
     for bound in range(1, 16):
-        statuses.append(session.solve_bound(bound).status.value)
-        statuses.append(session.solve_step(bound).status.value)
-        decide = solver._structural
+        # The step query at ``bound`` needs one frame more.
+        session.extend_to(bound + 1)
+        # Grown in place, the frontier state equals a fresh build's over
+        # the same baseline (the one the extension's level-0 fixpoint
+        # took, before shifted clauses and learning added facts).
         system = solver.system
+        fresh = type(decide)(system, solver.store, solver.order)
+        fresh._baseline = list(decide._baseline)
+        assert decide.frontier() == fresh.frontier()
+        assert list(decide._candidates) == list(fresh._candidates)
         level_of = _node_levels(system.circuit)
         assert list(decide._level_of) == [
             level_of[index] for index in range(len(system.circuit.nodes))
         ]
-        fresh = type(decide)(system, solver.store, solver.order)
         assert decide._node_of_var == fresh._node_of_var
         assert _watch_lists(decide) == _watch_lists(fresh)
+        statuses.append(session.solve_bound(bound).status.value)
+        statuses.append(session.solve_step(bound).status.value)
+    assert solver._structural is decide
     assert checker.frontiers > 0
     assert "sat" in statuses
 
@@ -286,9 +295,91 @@ def test_direct_backtrack_falls_back_to_a_full_recheck():
                 break
         store.backtrack_to(min(depth // 2, store.decision_level))
         engine.notify_backtrack()
+        if depth % 2:
+            # Regrow the trail past the rewound point before the next
+            # frontier read, with a decision the frontier did not make.
+            picked = decide.order.pick()
+            if picked is not None:
+                store.decide_bool(*picked)
+                if engine.propagate() is not None:
+                    store.backtrack_to(store.decision_level - 1)
+                    engine.notify_backtrack()
         assert decide.frontier() == oracle_frontier(decide)
         assert not uncovered_outputs(decide)
     assert checks >= 5
+
+
+def _descend(decide, store, engine, depth):
+    """Structural decisions (each after a frontier read) down to
+    ``depth``; stops early at an empty frontier or a conflict."""
+    while store.decision_level < depth:
+        assert decide.frontier() == oracle_frontier(decide)
+        outcome = decide.next_decision()
+        if not isinstance(outcome, tuple):
+            return
+        store.decide_bool(*outcome)
+        if engine.propagate() is not None:
+            return
+
+
+def _bare_b06_40():
+    inst = instance("b06_40", 8)
+    system, store, engine, decide = make_structural(inst.circuit)
+    engine.enqueue_all()
+    assert engine.propagate() is None
+    decide.snapshot_baseline()
+    for name, value in inst.assumptions.items():
+        if not isinstance(value, Interval):
+            value = Interval.point(value)
+        store.assume(system.var_by_name(name), value)
+    engine.enqueue_all()
+    assert engine.propagate() is None
+    return system, store, engine, decide
+
+
+@pytest.mark.parametrize("then_hooked_backjump", [False, True])
+def test_direct_backtrack_then_regrowth_past_the_last_read(
+    then_hooked_backjump,
+):
+    """The trail is rewound without the hook and regrown past the end
+    of the last frontier read before the next read (and, in one
+    variant, rewound once more through the hook): the replaced events
+    are found by the identity checks on the last synced event."""
+    mismatches = 0
+    for restart_level in (0, 1, 2):
+        system, store, engine, decide = _bare_b06_40()
+        _descend(decide, store, engine, 5)
+        read_end = len(store.trail)
+        store.backtrack_to(min(restart_level, store.decision_level))
+        engine.notify_backtrack()
+        while len(store.trail) <= read_end:
+            picked = decide.order.pick()
+            if picked is None:
+                break
+            store.decide_bool(picked[0], 1 - picked[1])
+            if engine.propagate() is not None:
+                break
+        assert len(store.trail) > read_end
+        if then_hooked_backjump:
+            decide.backtracked(store.backtrack_to(store.decision_level - 1))
+            engine.notify_backtrack()
+        stale = set(decide._live)
+        nodes = decide.frontier()
+        assert nodes == oracle_frontier(decide)
+        assert not uncovered_outputs(decide)
+        mismatches += stale != set(nodes)
+    assert mismatches > 0
+
+
+def test_new_baseline_rechecks_every_candidate():
+    system, store, engine, decide = _bare_b06_40()
+    _descend(decide, store, engine, 3)
+    store.backtrack_to(0)
+    engine.notify_backtrack()
+    decide.frontier()
+    # A baseline taken now treats every current narrowing as a fact.
+    decide.snapshot_baseline()
+    assert decide.frontier() == oracle_frontier(decide) == []
 
 
 #: (case, bound, config) -> (status, decisions, conflicts), recorded
