@@ -3,8 +3,9 @@
 Each benchmark isolates one layer the solver spends its time in —
 interval interning, flat-store narrowing + backtracking, watched-literal
 clause propagation, and the full engine fixpoint — so a perf regression
-can be localised without profiling a whole BMC run.  Wall-clock numbers
-live in ``BENCH_1.json`` (see docs/performance.md); these tests track
+can be localised without profiling a whole BMC run.  Whole queries are
+timed by ``benchmarks/e2e`` and the fast-vs-slow engine ratios by
+``test_ratio_gates.py`` (see docs/performance.md); these tests track
 the relative cost of the layers.
 """
 

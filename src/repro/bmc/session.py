@@ -289,7 +289,7 @@ class BmcSession:
 
 
 # ----------------------------------------------------------------------
-# Bound sweeps (the bench harness' bmc profile engines)
+# Bound sweeps (the session-sweep ratio gate's engines)
 # ----------------------------------------------------------------------
 def bmc_sweep_session(
     circuit: Circuit,
@@ -330,8 +330,8 @@ def bmc_sweep_oneshot(
     config: Optional[SolverConfig] = None,
     timeout: Optional[float] = None,
 ) -> List[SolverResult]:
-    """Solve bounds ``1..bound`` from scratch (the baseline the bench
-    profile's speedup gate compares the session sweep against).
+    """Solve bounds ``1..bound`` from scratch (the baseline the
+    session-sweep ratio gate compares the session sweep against).
 
     ``timeout`` budgets the whole sweep, like :func:`bmc_sweep_session`.
     """

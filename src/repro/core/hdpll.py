@@ -20,7 +20,9 @@ structured JSONL trace of every decision / propagation batch / conflict
 / restart / J-frontier action / FME leaf, and to collect a hierarchical
 phase profile (learn / search / BCP / ICP / conflict / FME).  Without
 one, every instrumentation point is a single ``is None`` test — the
-bench regression gate holds the disabled path to zero measurable cost.
+stats-identity tests (``tests/obs``) hold the disabled path to the
+uninstrumented search, and the end-to-end benchmark's ``compare``
+judges its wall time.
 """
 
 from __future__ import annotations
@@ -158,6 +160,10 @@ class HdpllSolver:
         ] = None
         #: Level 0 still needs an initial/extension fixpoint pass.
         self._pending_saturation = True
+        #: That pass schedules every propagator until a first fixpoint
+        #: is reached; after it, ``engine.extend`` has already scheduled
+        #: an extension's propagators.
+        self._saturate_all = True
         #: Cumulative engine/order counters at the start of the current
         #: solve; ``_finish`` reports deltas so persistent sessions get
         #: per-query stats.  All zero in single-shot mode.
@@ -420,11 +426,14 @@ class HdpllSolver:
         """Bring level 0 to the circuit fixpoint after creation/extension."""
         if not self._pending_saturation:
             return None
-        self.engine.enqueue_all()
+        if self._saturate_all:
+            self.engine.enqueue_all()
         conflict = self._propagate()
         if conflict is not None:
+            self._saturate_all = True
             return conflict
         self._pending_saturation = False
+        self._saturate_all = False
         if self._structural is not None:
             self._structural.snapshot_baseline()
         return None
@@ -435,8 +444,10 @@ class HdpllSolver:
         The frame-extension path: new variables join the store at their
         initial domains, new propagators are registered and scheduled,
         Boolean net variables join the decision order.  The level-0
-        fixpoint and the structural-decision baseline are refreshed
-        lazily on the next solve.
+        fixpoint and the structural-decision baseline are refreshed by
+        :meth:`_saturate_level0`, which propagates only what is
+        scheduled, so it must run before anything else propagates or
+        backtracks (``SolverSession.extend`` calls it at once).
         """
         if self.store.decision_level != 0:
             raise SolverError("extension is only legal at level 0")

@@ -8,8 +8,8 @@ Every pre-existing attribute (``stats.decisions``, ``stats.solve_time``,
 can be added by plain attribute assignment from anywhere in the solver:
 integers auto-register as counters, floats as gauges.  ``as_dict()``
 snapshots everything, which is how the harness builds its
-:class:`~repro.harness.runner.RunRecord` and bench reports without
-copying fields one by one.
+:class:`~repro.harness.runner.RunRecord` without copying fields one
+by one.
 """
 
 from __future__ import annotations

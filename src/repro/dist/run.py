@@ -11,7 +11,7 @@ The local portfolio (:func:`repro.portfolio.solve.solve_portfolio`) is
 one such host; :func:`solve_dist` runs several.
 
 :func:`solve_dist` is the single-query API (and what the ``dist-1h`` /
-``dist-2h`` bench engines call): it generates cubes exactly like
+``dist-2h`` ratio-gate engines call): it generates cubes exactly like
 :func:`~repro.portfolio.solve.solve_portfolio`, serves them from a hub
 to ``hosts`` hosts, and interprets the verdict as a
 :class:`~repro.core.result.SolverResult` through the same

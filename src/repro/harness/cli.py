@@ -20,10 +20,10 @@ Subcommands::
 Global options: ``--log-level debug`` (or ``REPRO_LOG=debug``) wires the
 library's ``repro`` logger to stderr (and is inherited by worker
 processes); ``--telemetry-dir DIR`` gives multi-process commands
-(``table1``/``table2``/``scaling``, ``bench``, ``solve --portfolio``)
-per-worker trace/metrics shards, and every pool task a log file, that
-are merged into one clock-aligned timeline — inspect it afterwards with
-``report`` (post-mortem) or ``top`` (live tail).
+(``table1``/``table2``/``scaling``, ``solve --portfolio``) per-worker
+trace/metrics shards, and every pool task a log file, that are merged
+into one clock-aligned timeline — inspect it afterwards with ``report``
+(post-mortem) or ``top`` (live tail).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes: the task pool of table1/table2/scaling/"
-        "ablation and bench, the portfolio width of solve --portfolio "
+        "ablation, the portfolio width of solve --portfolio "
         "(and of the portfolio/dist-* engines) and prove --portfolio, "
         "the workers of a dist-work host; 1 = run in-process (the "
         "historical sequential path)",
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-process telemetry directory: every worker writes a "
         "clock-aligned trace/metrics shard (and a pool task its log) "
         "there and the run merges them into timeline.jsonl + "
-        "metrics.json/.prom (table1/table2/scaling, bench and solve "
+        "metrics.json/.prom (table1/table2/scaling and solve "
         "--portfolio; inspect with the report/top commands)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,43 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "portfolio (-j sets the width; induction method only)",
     )
     _add_common(prove)
-
-    bench = sub.add_parser(
-        "bench", help="run the perf benchmark matrix and emit BENCH_1.json"
-    )
-    bench.add_argument(
-        "--profile",
-        choices=("smoke", "full", "bmc", "portfolio", "prop", "serve", "dist"),
-        default="smoke",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_1.json", help="report output path"
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline report (default benchmarks/perf/baseline_<profile>.json)",
-    )
-    bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="also write this run as the committed baseline",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when a gated engine regresses past tolerance",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional slowdown vs baseline (default 0.25)",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=2, help="runs per cell; min is kept"
-    )
-    _add_common(bench)
 
     serve = sub.add_parser(
         "serve",
@@ -821,53 +784,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             telemetry_dir=args.telemetry_dir,
         )
         print(format_table2(rows, engines))
-        return 0
-    if args.command == "bench":
-        from pathlib import Path
-
-        from repro.harness.bench import (
-            compare_to_baseline,
-            default_baseline_path,
-            evaluate_speedup_gates,
-            format_gates,
-            format_report,
-            format_speedup_gates,
-            load_report,
-            run_profile,
-            write_report,
-        )
-
-        report = run_profile(
-            args.profile,
-            timeout=args.timeout,
-            repeat=args.repeat,
-            jobs=args.jobs,
-            telemetry_dir=args.telemetry_dir,
-        )
-        print(format_report(report))
-        write_report(report, Path(args.output))
-        print(f"report written to {args.output}")
-        speedups = evaluate_speedup_gates(report)
-        if speedups:
-            print(format_speedup_gates(speedups))
-        failed = args.check and any(not gate.passed for gate in speedups)
-        baseline_path = (
-            Path(args.baseline)
-            if args.baseline
-            else default_baseline_path(args.profile)
-        )
-        if args.update_baseline:
-            write_report(report, baseline_path)
-            print(f"baseline updated at {baseline_path}")
-            return 1 if failed else 0
-        baseline = load_report(baseline_path)
-        if baseline is None:
-            print(f"no baseline at {baseline_path}; skipping gate")
-            return 1 if failed else 0
-        gates = compare_to_baseline(report, baseline, args.tolerance)
-        print(format_gates(gates, args.tolerance))
-        if args.check and (failed or any(not g.passed for g in gates)):
-            return 1
         return 0
     if args.command == "serve":
         return _serve_command(args)

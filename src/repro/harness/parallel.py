@@ -1,6 +1,6 @@
 """Crash-isolated parallel worker pool for harness runs.
 
-Every experiment surface (tables, bench profiles, the differential
+Every experiment surface (tables, scaling, ablation, the differential
 test) executes ``(engine, instance, config)`` tasks.  This module runs
 such tasks across worker *processes* (started by
 :func:`repro.procs.context`) so that
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
@@ -350,10 +349,6 @@ class EngineTask:
     #: a telemetry shard logs to the shard's log file ("info" when no
     #: level is set), any other task to its stderr.
     log_level: Optional[str] = None
-    #: Portfolio width forwarded to ``run_engine`` (``portfolio`` engine
-    #: only; the bench pool runs such cells inline with ``jobs=1`` so
-    #: the portfolio owns the process budget).
-    jobs: int = 1
     #: Cross-process telemetry shard config (minted by a TelemetryHub):
     #: the task's trace, metrics snapshot, log file and flight ring.
     telemetry: Optional["TelemetryConfig"] = None
@@ -423,7 +418,6 @@ def _solve_task(task: EngineTask, observation=None) -> RunRecord:
         task.timeout,
         learning_threshold=task.learning_threshold,
         observation=observation,
-        jobs=task.jobs,
     )
 
 
@@ -512,21 +506,3 @@ def run_engine_tasks(
         records.append(record)
     return records
 
-
-def effective_bench_jobs(jobs: int) -> int:
-    """Cap bench parallelism at the core count.
-
-    The bench harness measures wall time; oversubscribing the cores
-    would time contention, not the solver, and would let a ``-j`` run
-    drift from the sequential report.  Throughput surfaces (tables,
-    the differential test) take ``jobs`` at face value.
-    """
-    cores = os.cpu_count() or 1
-    effective = max(1, min(jobs, cores))
-    if effective != jobs:
-        logger.info(
-            "bench jobs capped at %d (requested %d, %d cores): "
-            "oversubscription would distort wall-clock measurement",
-            effective, jobs, cores,
-        )
-    return effective

@@ -18,18 +18,20 @@ serve-cold  solver daemon, fresh process state per request (PR 8)
 serve-warm  solver daemon, warm session reuse across requests (PR 8)
 ========  ====================================================
 
-Any HDPLL engine name may carry an ``-opt`` suffix (``hdpll+sp-opt``):
-the instance's circuit is rewritten by :func:`repro.rtl.optimize`
-before compiling, and the node counts around the pass land in
-``optimize_nodes_before`` / ``optimize_nodes_after``.
+The ``bmc-*``, ``prop``, ``serve-*`` and ``dist-*`` engines are the
+cells of the within-run ratio gates in
+``benchmarks/perf/test_ratio_gates.py``.
+
+``run_engine(optimize=True)`` rewrites an HDPLL engine's circuit with
+:func:`repro.rtl.optimize` before compiling; the node counts around the
+pass land in ``optimize_nodes_before`` / ``optimize_nodes_after``.
 
 Any HDPLL-family engine (including ``bmc-session``/``bmc-oneshot``,
 ``portfolio`` and the ``prop`` drill) runs the library's default
 propagation core (``SolverConfig.engine_impl``, the generated kernels);
-a ``-ref`` suffix runs the reference core, the oracle, instead.  The
-suffix is outermost: ``hdpll+sp-opt-ref`` optimizes the circuit and
-runs the reference core.  The two cores are bit-for-bit equivalent, so
-the suffix only changes wall time, never statuses or counters.
+a ``-ref`` suffix runs the reference core, the oracle, instead.  The two
+cores are bit-for-bit equivalent, so the suffix only changes wall time,
+never statuses or counters.
 
 Counter fields on :class:`RunRecord` are filled from the solver's
 :meth:`~repro.core.SolverStats.as_dict` snapshot — any stats metric
@@ -253,13 +255,13 @@ def run_prop_drill(
     the lower half, propagate the fanout cone to fixpoint, and backtrack
     to the root.  Every repetition redoes identical narrowing work, so
     the drill measures propagation-core throughput with zero search,
-    conflict-analysis, or learning share — the denominator the
-    engine-impl speedup gates divide by.
+    conflict-analysis, or learning share — the denominator of the
+    propagation-core ratio gate (``prop`` against ``prop-ref``).
 
     Status is deterministic ("U" iff the root fixpoint conflicts, else
     "S"; probe conflicts are expected and merely end that probe), so
     per-instance status parity across engine impls is meaningful and
-    gated exactly like the full-solve profiles.
+    gated exactly like the full-solve gates.
     """
     from repro.constraints.store import DECISION, Conflict
     from repro.core.hdpll import HdpllSolver
@@ -337,10 +339,9 @@ def run_engine(
 
     ``observation`` (tracing / profiling) applies to the HDPLL engines
     only; baseline engines ignore it.  ``jobs`` is the portfolio width
-    (``portfolio`` engine only); ``optimize`` (or an ``-opt`` engine
-    suffix) runs the ``rtl.optimize`` pre-pass.  ``telemetry_dir``
-    enables cross-process telemetry for the portfolio pool (other
-    engines run in-process and ignore it).
+    (``portfolio`` engine only); ``optimize`` runs the ``rtl.optimize``
+    pre-pass.  ``telemetry_dir`` enables cross-process telemetry for the
+    portfolio pool (other engines run in-process and ignore it).
     """
     stats = instance.circuit.stats()
     record = RunRecord(
@@ -356,10 +357,6 @@ def run_engine(
     #: serve cells time only their requests, not daemon startup).
     measured_seconds: Optional[float] = None
     base_engine, engine_impl = split_engine_impl(engine)
-    optimize = optimize or base_engine.endswith("-opt")
-    base_engine = (
-        base_engine[:-4] if base_engine.endswith("-opt") else base_engine
-    )
     logger.debug("run begin: %s engine=%s", instance.name, engine)
     start = time.perf_counter()
     try:

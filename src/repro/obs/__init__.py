@@ -3,7 +3,8 @@
 The solver core accepts an optional :class:`Observation` bundle; each of
 its members is independently optional, and a solver constructed without
 one runs the uninstrumented fast path (the guards are single ``is
-None`` tests, verified by the bench regression gate).
+None`` tests; the stats-identity tests and the end-to-end benchmark's
+``compare`` check it).
 
 * :mod:`repro.obs.trace` — structured JSONL trace emitter + replay.
 * :mod:`repro.obs.metrics` — the counter/gauge/histogram registry that

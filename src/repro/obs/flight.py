@@ -8,7 +8,7 @@ same ``event(ev, dl, **fields)`` surface as
 a fixed-size ring (``collections.deque`` with ``maxlen``) — no JSON, no
 I/O, no string formatting.  When a worker dies, the last
 ``capacity`` events it recorded are dumped as a regular JSONL trace
-fragment (:meth:`dump`), turning an opaque ``-A-``/``-to-`` bench cell
+fragment (:meth:`dump`), turning an opaque ``-A-``/``-to-`` pool task
 into something ``repro-hdpll trace --replay`` can narrate.
 
 :class:`TeeEmitter` fans one event stream out to both a real trace

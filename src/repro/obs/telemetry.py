@@ -1,7 +1,7 @@
 """Cross-process telemetry: per-worker shards merged into one timeline.
 
 PR 2's tracing/metrics/profiling stack is strictly single-process;
-every serious workload since (the crash-isolated bench pool, the
+every serious workload since (the crash-isolated task pool, the
 cube-and-conquer portfolio, the engine-impl matrix) spans many worker
 processes whose clocks do not share an epoch.  This module closes that
 gap:

@@ -3,7 +3,7 @@
 Workers never receive a circuit over the pipe — unrolled circuits are
 deeply recursive object graphs that pickle badly — they receive a tiny
 :class:`ProblemSpec` and rebuild the problem from the ITC99 registry
-(exactly like the crash-isolated bench pool in
+(exactly like the crash-isolated task pool in
 :mod:`repro.harness.parallel`).  Each worker owns one persistent
 :class:`~repro.core.session.SolverSession` configured by the
 diversification rotation, solves cube after cube against it (cube

@@ -355,14 +355,33 @@ class Circuit:
         cycle raises :class:`CircuitError`.
 
         The order is memoized per node count — incremental consumers
-        (BMC frame extension re-levelizes per frame) would otherwise
-        repeat the full DFS many times per circuit.  A fresh list is
-        returned on every call so callers may mutate their copy.
+        (BMC frame extension validates and re-levelizes per frame) would
+        otherwise repeat the full DFS many times per circuit.  Appended
+        nodes whose operands are all driven by earlier nodes extend the
+        memo in index order, which is the order the DFS would give them
+        (every dependency is already done when it reaches them); any
+        other append re-runs the DFS.  A fresh list is returned on every
+        call so callers may mutate their copy.
         """
         cached = self._topo_cache
-        if cached is not None and cached[0] == len(self.nodes):
-            return list(cached[1])
-        order: List[Node] = []
+        if cached is not None:
+            known, order = cached
+            if known == len(self.nodes):
+                return list(order)
+            appended = self.nodes[known:]
+            if all(
+                node.kind is OpKind.REG
+                or all(
+                    operand.driver is not None
+                    and operand.driver.index < node.index
+                    for operand in node.operands
+                )
+                for node in appended
+            ):
+                order.extend(appended)
+                self._topo_cache = (len(self.nodes), order)
+                return list(order)
+        order = []
         state = bytearray(len(self.nodes))  # 0 unvisited, 1 on stack, 2 done
         for root in self.nodes:
             if state[root.index]:

@@ -1,4 +1,4 @@
-"""Warm-vs-cold bench cells for the solver daemon.
+"""Warm-vs-cold cells for the solver daemon.
 
 One cell drives a *real* daemon — unix socket, wire protocol, client —
 so the measured gap is the serving stack's actual value, not a cache
@@ -11,8 +11,9 @@ microbenchmark:
   the timed requests all land on the warm session (solve only).
 
 Both modes report the mean client-observed wall time over the timed
-requests; the ``serve`` bench profile gates warm/cold as a speedup
-ratio exactly like the engine-impl gates (BENCH_1..4).
+requests; the serve ratio gate (``benchmarks/perf/test_ratio_gates.py``)
+holds warm to at least twice cold's speed, with status parity, like the
+other within-run ratio gates.
 """
 
 from __future__ import annotations

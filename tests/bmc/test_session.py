@@ -28,6 +28,7 @@ from repro.constraints.clause import Clause, make_bool_lit
 from repro.core import SolverConfig, Status, solve_circuit
 from repro.harness.parallel import Task, run_tasks
 from repro.intervals import Interval
+from repro.itc99 import circuit as itc99_circuit
 from repro.itc99.generator import (
     random_safety_property,
     random_sequential_circuit,
@@ -79,6 +80,22 @@ def test_incremental_unroller_matches_batch():
         n.name for n in batch.inputs
     )
     assert set(batch.outputs) <= set(incremental.outputs)
+
+
+def test_grown_topological_order_matches_a_fresh_dfs():
+    """Each frame extension grows the unrolling's memoized order by the
+    appended nodes; after each of 16 extensions it equals the order a
+    fresh DFS computes."""
+    unroller = IncrementalUnroller(itc99_circuit("b13"), free_initial=True)
+    unrolled = unroller.unrolled
+    for _ in range(16):
+        unroller.extend(1)
+        grown = [node.index for node in unrolled.topological_nodes()]
+        memo = unrolled._topo_cache
+        unrolled._topo_cache = None
+        fresh = [node.index for node in unrolled.topological_nodes()]
+        unrolled._topo_cache = memo
+        assert grown == fresh
 
 
 def test_extend_returns_only_new_nodes():
@@ -228,6 +245,32 @@ def test_problem_clauses_are_never_disposable():
 # ----------------------------------------------------------------------
 
 
+def _check_extension_fixpoint(
+    session: BmcSession, seed: int, failures: List[str]
+) -> None:
+    """After every frame extension, scheduling every propagator again
+    must add no level-0 event and no conflict: the extension's own
+    propagators reached the whole fixpoint."""
+    solver_session = session.session
+    extend = solver_session.extend
+
+    def checked_extend(nodes):
+        extension = extend(nodes)
+        if not solver_session.root_conflict:
+            solver = solver_session.solver
+            mark = len(solver.store.trail)
+            solver.engine.enqueue_all()
+            conflict = solver.engine.propagate()
+            if conflict is not None or len(solver.store.trail) != mark:
+                failures.append(
+                    f"seed {seed} frame {session.unroller.frames}: "
+                    "extension stopped short of the level-0 fixpoint"
+                )
+        return extension
+
+    solver_session.extend = checked_extend
+
+
 def _sweep_chunk(seeds: Sequence[int]) -> List[str]:
     """Session-vs-one-shot oracle over a seed range."""
     prop = random_safety_property()
@@ -238,6 +281,7 @@ def _sweep_chunk(seeds: Sequence[int]) -> List[str]:
             continue
         circuit = random_sequential_circuit(seed, **_SWEEP_SHAPE)
         session = BmcSession(circuit, prop, config)
+        _check_extension_fixpoint(session, seed, failures)
         for bound in range(1, _MAX_BOUND + 1):
             instance = make_bmc_instance(circuit, prop, bound)
             oneshot = solve_circuit(
@@ -275,7 +319,8 @@ def _sweep_chunk(seeds: Sequence[int]) -> List[str]:
 
 
 def test_session_sweep_matches_oneshot():
-    """Persistent-session statuses and models match per-bound solves."""
+    """Persistent-session statuses and models match per-bound solves,
+    and every frame extension reaches the level-0 fixpoint."""
     chunks = [
         range(start, min(start + _CHUNK, _NUM_SEEDS))
         for start in range(0, _NUM_SEEDS, _CHUNK)

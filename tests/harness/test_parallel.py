@@ -14,7 +14,6 @@ from pathlib import Path
 from repro.harness.parallel import (
     EngineTask,
     Task,
-    effective_bench_jobs,
     outcome_to_record,
     run_engine_tasks,
     run_tasks,
@@ -202,9 +201,3 @@ def test_inline_telemetry_task_restores_sigterm_handler(tmp_path):
     assert records[0].status in ("S", "U")
     assert signal.getsignal(signal.SIGTERM) == before
 
-
-def test_effective_bench_jobs_caps_at_cores():
-    cores = os.cpu_count() or 1
-    assert effective_bench_jobs(1) == 1
-    assert effective_bench_jobs(0) == 1
-    assert effective_bench_jobs(cores + 8) == cores

@@ -198,6 +198,24 @@ class TestTopologyAndStats:
         assert positions[s.name] < positions[p.name]
         assert positions[p.name] < positions[out.name]
 
+    def test_appended_driverless_operand_or_cycle_still_raises(self):
+        """A memoized order grows only over well-formed appends."""
+        c = Circuit()
+        c.add_input("a", 1)
+        c.topological_nodes()
+        c.add_node(OpKind.NOT, [c.new_net(1, "floating")])
+        with pytest.raises(CircuitError, match="has no driver"):
+            c.topological_nodes()
+
+        c = Circuit()
+        a = c.add_input("a", 1)
+        c.topological_nodes()
+        first = c.add_node(OpKind.NOT, [a])
+        second = c.add_node(OpKind.NOT, [first])
+        first.driver.operands = (second,)
+        with pytest.raises(CircuitError, match="combinational cycle"):
+            c.topological_nodes()
+
     def test_register_feedback_is_not_a_cycle(self):
         b = CircuitBuilder()
         r = b.register("r", 4)
