@@ -27,7 +27,7 @@ Run all seven gates (about 3 minutes on 2 cores), or one table row::
     python -m pytest -q -s benchmarks/perf/test_ratio_gates.py -k serve
 
 ``-s`` prints each gate's ratios.  The rules themselves are checked on
-synthetic records by ``tests/harness/test_gate_semantics.py``.
+synthetic records by ``tests/harness/test_bench_gate.py``.
 """
 
 from __future__ import annotations

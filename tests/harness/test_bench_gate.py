@@ -108,6 +108,20 @@ def test_gate_fails_for_always_aborting_engine():
     assert "hdpll+sp has no scorable cell" in failures
 
 
+def test_gate_report_handles_unscorable_engine():
+    """A ratio with an unscorable side prints no line; the failure
+    names the engine instead of dividing by a missing geomean."""
+    lines, failures = check(
+        GATE, _cells([("U", 1.0)] * 2, [("-A-", 0.01)] * 2)
+    )
+    assert lines == []
+    assert failures == [
+        "status drift at b01_1(20): hdpll+sp-ref -A-, pinned U",
+        "status drift at b02_1(20): hdpll+sp-ref -A-, pinned U",
+        "hdpll+sp-ref has no scorable cell",
+    ]
+
+
 def test_gate_fails_on_parity_mismatch():
     """A speedup between different answers fails, even when fast."""
     _, failures = check(
