@@ -160,10 +160,6 @@ class HdpllSolver:
         ] = None
         #: Level 0 still needs an initial/extension fixpoint pass.
         self._pending_saturation = True
-        #: That pass schedules every propagator until a first fixpoint
-        #: is reached; after it, ``engine.extend`` has already scheduled
-        #: an extension's propagators.
-        self._saturate_all = True
         #: Cumulative engine/order counters at the start of the current
         #: solve; ``_finish`` reports deltas so persistent sessions get
         #: per-query stats.  All zero in single-shot mode.
@@ -423,17 +419,18 @@ class HdpllSolver:
         self._deadline = None
 
     def _saturate_level0(self) -> Optional[Conflict]:
-        """Bring level 0 to the circuit fixpoint after creation/extension."""
+        """Bring level 0 to the circuit fixpoint after creation/extension.
+
+        Propagates only what is scheduled: ``SolverSession`` schedules
+        every propagator before the first pass, and ``engine.extend``
+        schedules an extension's own propagators.
+        """
         if not self._pending_saturation:
             return None
-        if self._saturate_all:
-            self.engine.enqueue_all()
         conflict = self._propagate()
         if conflict is not None:
-            self._saturate_all = True
             return conflict
         self._pending_saturation = False
-        self._saturate_all = False
         if self._structural is not None:
             self._structural.snapshot_baseline()
         return None

@@ -104,6 +104,7 @@ class SolverSession:
         #: Level-0 refutation found during extension/learning: every
         #: subsequent query is unconditionally UNSAT.
         self.root_conflict = False
+        self.solver.engine.enqueue_all()
         conflict = self.solver._saturate_level0()
         if conflict is not None:
             self.root_conflict = True
