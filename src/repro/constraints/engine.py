@@ -154,11 +154,33 @@ class PropagationEngine:
             self._fns.extend(build_kernels(appended, self.store))
 
     def notify_backtrack(self) -> None:
-        """Reset dispatch bookkeeping after the trail shrank."""
+        """Reset dispatch bookkeeping after the trail shrank.
+
+        Also lifts every :meth:`suspend` mark.
+        """
         self._dispatched = min(self._dispatched, len(self.store.trail))
         self._queues[0].clear()
         self._queues[1].clear()
         self._queued[:] = bytes(len(self._queued))
+
+    def suspend(self, mask: bytes) -> None:
+        """Keep the propagators flagged in ``mask`` asleep until the next
+        :meth:`notify_backtrack`.
+
+        ``mask`` holds one byte per propagator position, 1 for a
+        position to suspend.  A suspended position is marked queued
+        without entering a queue, so every wake-up path (the event
+        dispatch of all three loops, :meth:`_enqueue`) skips it and no
+        loop pays a test of its own.  The worklist must be empty: a
+        flag cleared here would let a queued position enter twice.
+        """
+        if len(mask) != len(self._queued):
+            raise SolverError(
+                f"suspend mask covers {len(mask)} of "
+                f"{len(self._queued)} propagators"
+            )
+        assert not (self._queues[0] or self._queues[1])
+        self._queued[:] = mask
 
     # ------------------------------------------------------------------
     # Clause installation

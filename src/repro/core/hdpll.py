@@ -178,6 +178,10 @@ class HdpllSolver:
         #: profiler can split propagation time between learn and search.
         self._learn_bcp = 0.0
         self._learn_icp = 0.0
+        #: Frame spans of the propagators, for frame-local learning
+        #: probes (built at the first learning pass, grown by
+        #: :meth:`extend_system`).
+        self._windows = None
         #: Optional clause-sharing channel (the portfolio layer): an
         #: object with ``export(clause)`` — called with every learned
         #: clause — ``poll() -> list[Clause]`` — drained at the top of
@@ -289,9 +293,9 @@ class HdpllSolver:
             learn_start = time.perf_counter()
             if prof is not None:
                 with prof.phase("learn"):
-                    report = self._run_learning()
+                    report = self._run_learning(deadline=self._deadline)
             else:
-                report = self._run_learning()
+                report = self._run_learning(deadline=self._deadline)
             self.stats.learned_relations = report.relations_learned
             self.stats.learn_time = time.perf_counter() - learn_start
             self._learn_bcp = self.engine.bcp_time
@@ -313,18 +317,24 @@ class HdpllSolver:
                 return self._search(assumptions, start)
         return self._search(assumptions, start)
 
-    def _run_learning(self):
-        from repro.core.predlearn import run_predicate_learning
+    def _run_learning(self, candidates=None, deadline=None):
+        """Section 3 pass over ``candidates`` (default: every predicate
+        candidate of the circuit), one-shot and session alike."""
+        from repro.core.predlearn import ProbeWindows, run_predicate_learning
 
+        if self._windows is None:
+            self._windows = ProbeWindows(self.system.propagators)
         return run_predicate_learning(
             self.system,
             self.store,
             self.engine,
             self.order,
             threshold=self.config.learning_threshold,
-            deadline=self._deadline,
+            deadline=deadline,
             phase_hints=self.config.learned_phase_hints,
             tracer=self._trace,
+            candidates=candidates,
+            windows=self._windows,
         )
 
     def _search(
@@ -456,6 +466,8 @@ class HdpllSolver:
         )
         self.store.add_variables(extension.variables)
         self.engine.extend(extension.propagators)
+        if self._windows is not None:
+            self._windows.extend(extension.propagators)
         self.order.add_candidates(self.system, extension.variables)
         if self._structural is not None:
             self._structural.extend(nodes)

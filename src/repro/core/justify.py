@@ -51,6 +51,7 @@ from repro.constraints.propagators import BoolGateProp, LinearEqProp, MuxProp
 from repro.constraints.store import Conflict, DomainStore, Event
 from repro.constraints.variable import Variable, VarOrigin
 from repro.core.decide import ActivityOrder
+from repro.intervals import Interval
 from repro.rtl.circuit import Node
 from repro.rtl.types import OpKind
 
@@ -92,11 +93,17 @@ class StructuralDecide:
         self._watch_head = array("i")
         self._watch_node = array("i")
         self._watch_next = array("i")
+        #: Level-0 fixpoint domains (set after pre-processing): only
+        #: narrowings *beyond* this baseline are requirements.  Without
+        #: it, facts derived by static learning would flood the frontier.
+        self._baseline: List[Interval] = []
         self._add_nodes(system.circuit.topological_nodes())
         self._reset()
 
     def _add_nodes(self, nodes: Iterable[Node]) -> None:
-        """Level and index ``nodes`` (given in dependency order).
+        """Level and index ``nodes`` (given in dependency order), and
+        give the variables compiled since the last call their initial
+        domains as baseline.
 
         A node's level depends on its operands alone, so appending nodes
         never changes an existing node's level or index entries.
@@ -108,6 +115,10 @@ class StructuralDecide:
         missing = len(system.variables) - len(self._node_of_var)
         self._node_of_var.extend(array("i", [-1]) * missing)
         self._watch_head.extend(array("i", [-1]) * missing)
+        self._baseline.extend(
+            var.initial_domain
+            for var in system.variables[len(self._baseline):]
+        )
         node_of_var = self._node_of_var
         head = self._watch_head
         watch_node = self._watch_node
@@ -160,12 +171,6 @@ class StructuralDecide:
         #: Re-derive the candidate and live sets from the whole trail at
         #: the next sync (fresh state, new baseline, unnoted backjump).
         self._recheck_all = True
-        #: Level-0 fixpoint domains (set after pre-processing): only
-        #: narrowings *beyond* this baseline are requirements.  Without
-        #: it, facts derived by static learning would flood the frontier.
-        self._baseline = [
-            var.initial_domain for var in self.system.variables
-        ]
 
     def snapshot_baseline(self) -> None:
         """Record the current domains as the no-requirement baseline."""

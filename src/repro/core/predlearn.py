@@ -6,7 +6,14 @@ Pre-processing before search:
    datapath (cone-of-influence, :mod:`repro.rtl.predicates`).
 2. Probe the controlling value of each candidate gate, lowest level
    first, with level-1 recursive learning extended by interval
-   constraint propagation across the datapath.
+   constraint propagation across the datapath.  On an unrolled
+   instance each probe is frame-local: it runs only the propagators
+   whose frame span meets the candidate's frame ± :data:`PROBE_WINDOW`
+   (:class:`ProbeWindows`; clause BCP is not restricted).  The window
+   only leaves propagation out, so whatever a windowed probe implies —
+   a conflict, a hull, a common implication — the full system implies
+   too (see :mod:`repro.core.recursive`).  Circuits without frame tags
+   probe over the whole system.
 3. Common implications become learned clauses — Boolean 2-literal
    relations like the paper's ``(b5 ∨ ¬b6)`` and hybrid clauses with
    word literals for common interval narrowings.
@@ -23,14 +30,17 @@ Pre-processing before search:
 from __future__ import annotations
 
 import logging
+import re
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.intervals import Interval
 from repro.constraints.clause import BoolLit, Clause, Literal, WordLit
 from repro.constraints.compile import CompiledSystem
 from repro.constraints.engine import PropagationEngine
+from repro.constraints.propagators import Propagator
 from repro.constraints.store import Conflict, DomainStore
 from repro.constraints.variable import Variable
 from repro.core.decide import ActivityOrder
@@ -53,6 +63,96 @@ DEFAULT_THRESHOLD_CAP = 2000
 #: families) are mined.  Boolean-Boolean relations are kept first — they
 #: are the paper's Figure 2(b) shape — then the tightest word relations.
 CONDITIONALS_PER_PROBE = 8
+
+#: Frames on each side of a probed candidate's own frame whose
+#: propagators the probe runs.  The facts that carry Table 1 are
+#: frame-local (the per-frame case-split chains of b02_1 and b13_1),
+#: while an unrestricted probe's narrowings run the length of the
+#: unrolling, so the pass grew with the square of the bound.  Width 1
+#: keeps a frame's links to its neighbours' registers: width 0 was
+#: faster still but lost relations on b13_1(100) and gained conflicts
+#: on b03_1, width 2 cost more and filled b13_1(100)'s relation cap
+#: before its deep frames (docs/performance.md, "Frame-local probes").
+PROBE_WINDOW = 1
+
+#: Frame tag embedded in unrolled variable names (``net@3``,
+#: ``net@3__carry``); :mod:`repro.core.session` shifts clauses in time
+#: by renaming it.
+_FRAME_RE = re.compile(r"@(\d+)")
+
+
+class ProbeWindows:
+    """Frame spans of a compiled system's propagators, and the probe
+    masks built from them (one byte per propagator).
+
+    A propagator's span is the (min, max) ``@frame`` tag over its
+    variables' names.  Untagged variables are ignored, and a
+    propagator with no tagged variable is never suspended, so a circuit
+    without frame tags probes exactly as without windows.  The memory
+    is O(propagators): the spans, one index list entry per propagator
+    and the mask of the last window asked for (candidates come in level
+    order, which keeps a frame's candidates mostly together).
+    """
+
+    def __init__(self, propagators: Iterable[Propagator] = ()):
+        #: Position -> highest frame of its span (unused when untagged).
+        self._hi = array("i")
+        #: Lowest frame of a span -> the positions whose span starts there.
+        self._by_lo: Dict[int, List[int]] = {}
+        #: Widest span seen (``hi - lo``).
+        self._reach = 0
+        #: 1 for every tagged position: the mask before the window's
+        #: positions are cleared.
+        self._template = bytearray()
+        self._key: Optional[Tuple[int, int]] = None
+        self._mask = b""
+        self.extend(propagators)
+
+    def extend(self, propagators: Iterable[Propagator]) -> None:
+        """Add the spans of appended propagators (frame extension)."""
+        for propagator in propagators:
+            position = len(self._template)
+            span = _tag_span(var.name for var in propagator.variables)
+            if span is None:
+                self._template.append(0)
+                self._hi.append(-1)
+                continue
+            lo, hi = span
+            self._template.append(1)
+            self._hi.append(hi)
+            self._by_lo.setdefault(lo, []).append(position)
+            self._reach = max(self._reach, hi - lo)
+        self._key = None
+
+    def mask_for(self, var) -> Optional[bytes]:
+        """Suspend mask for probing ``var``: 1 at every propagator whose
+        span misses ``var``'s frames widened by :data:`PROBE_WINDOW` on
+        each side.  None when ``var`` carries no frame tag."""
+        span = _tag_span((var.name,))
+        if span is None:
+            return None
+        if span != self._key:
+            lo = span[0] - PROBE_WINDOW
+            hi = span[1] + PROBE_WINDOW
+            mask = bytearray(self._template)
+            his = self._hi
+            by_lo = self._by_lo
+            for start in range(lo - self._reach, hi + 1):
+                for position in by_lo.get(start, ()):
+                    if his[position] >= lo:
+                        mask[position] = 0
+            self._key = span
+            self._mask = bytes(mask)
+        return self._mask
+
+
+def _tag_span(names: Iterable[str]) -> Optional[Tuple[int, int]]:
+    """(min, max) ``@frame`` tag in ``names``; untagged names are
+    skipped, and None means no name carries a tag."""
+    frames = [int(tag) for name in names for tag in _FRAME_RE.findall(name)]
+    if not frames:
+        return None
+    return min(frames), max(frames)
 
 
 @dataclass
@@ -100,6 +200,7 @@ def run_predicate_learning(
     include_direct_relations: bool = False,
     tracer=None,
     candidates=None,
+    windows: Optional[ProbeWindows] = None,
 ) -> LearnReport:
     """Run the Section 3 pre-processing pass on a live solver state.
 
@@ -114,10 +215,12 @@ def run_predicate_learning(
 
     ``candidates`` restricts probing to an explicit net list (the
     frame-extension path probes only the appended frame); by default the
-    candidates are extracted from the whole circuit.
+    candidates are extracted from the whole circuit.  ``windows`` holds
+    the propagators' frame spans; a solver that learns more than once
+    keeps its own and grows it with the system, and by default they
+    are built from ``system.propagators`` for this pass.
     """
     report = LearnReport()
-    entry_level = store.decision_level
     if candidates is None:
         predicates = extract_predicates(system.circuit)
         candidates = predicates.learning_candidates
@@ -125,7 +228,11 @@ def run_predicate_learning(
     if threshold is None:
         threshold = min(len(candidates), DEFAULT_THRESHOLD_CAP)
 
-    learner = RecursiveLearner(system, store, engine, deadline=deadline)
+    if windows is None:
+        windows = ProbeWindows(system.propagators)
+    learner = RecursiveLearner(
+        system, store, engine, deadline=deadline, windows=windows
+    )
     seen_clauses: Set[Tuple] = set()
     phase_votes: Dict[int, List[int]] = {}
 
@@ -145,11 +252,8 @@ def run_predicate_learning(
             phase_votes,
         )
     except ProbeDeadline:
-        # A probe frame raised mid-recursion; levels it pushed are
-        # still on the store.  Unwind to where learning began and keep
-        # whatever was learned so far — partial learning is sound.
-        store.backtrack_to(entry_level)
-        engine.notify_backtrack()
+        # The probe left its levels on the way out; keep whatever was
+        # learned so far — partial learning is sound.
         logger.debug(
             "predicate learning stopped at deadline after %d relations",
             report.relations_learned,

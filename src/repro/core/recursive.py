@@ -11,12 +11,31 @@ implications flow through the datapath.
 :class:`RecursiveLearner` implements the scheme to arbitrary recursion
 depth over a compiled constraint system; Section 3's predicate learning
 uses it at depth 1.
+
+**Frame-local probes.**  Given a :class:`~repro.core.predlearn.ProbeWindows`,
+every probe of a candidate tagged with time frame ``f`` (an unrolled
+``net@f``) runs only the propagators whose frame span meets
+``[f - w, f + w]`` (``w`` is :data:`repro.core.predlearn.PROBE_WINDOW`);
+clause BCP stays unrestricted.  :meth:`RecursiveLearner._enter_level`
+is the one place a probe level is pushed: it suspends the out-of-window
+propagators (:meth:`PropagationEngine.suspend`), and the ``finally``
+that leaves the level calls ``notify_backtrack``, which lifts the
+marks on every exit (success, a conflicting assignment, a propagation
+conflict, :class:`ProbeDeadline`).  Without a window, or for a candidate
+without a frame tag, a probe propagates over the whole system.
+
+The window only drops propagation work, so it is sound: each narrowing
+a windowed probe makes is made by a constraint of the full system under
+the same level-0 state.  A windowed conflict is therefore also a
+full-system conflict, and every hull, common implication and
+conditional learned from windowed probes is implied by the full system
+— it is just weaker than what an unrestricted probe might find.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.intervals import Interval
 from repro.constraints.compile import CompiledSystem
@@ -25,6 +44,9 @@ from repro.constraints.store import Conflict, DomainStore
 from repro.constraints.variable import Variable
 from repro.rtl.circuit import Node
 from repro.rtl.types import OpKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.predlearn import ProbeWindows
 
 #: Reason tag for implications applied during probing.  These events only
 #: ever exist inside a probe level that is backtracked before search.
@@ -38,10 +60,9 @@ Option = List[Tuple[Variable, int]]
 class ProbeDeadline(Exception):
     """The learner's wall-clock deadline passed mid-probe.
 
-    Raised only at points where the current probe frame holds no pushed
-    decision level of its own; callers deeper in the recursion may
-    still hold levels, so the catcher must backtrack the store to its
-    own entry level before continuing.
+    Every probe level is left in a ``finally``, so when this reaches
+    the caller of :meth:`RecursiveLearner.probe` the store is back at
+    the level the probe began at and no propagator is suspended.
     """
 
 
@@ -81,7 +102,7 @@ class RecursiveLearner:
     """Probe-and-intersect machinery over a live store/engine pair.
 
     The learner temporarily pushes decision levels on the store; it always
-    restores the entry level before returning.
+    restores the entry level before returning or raising.
     """
 
     def __init__(
@@ -90,6 +111,7 @@ class RecursiveLearner:
         store: DomainStore,
         engine: PropagationEngine,
         deadline: Optional[float] = None,
+        windows: Optional["ProbeWindows"] = None,
     ):
         self.system = system
         self.store = store
@@ -97,6 +119,12 @@ class RecursiveLearner:
         #: ``time.perf_counter()`` instant after which probing raises
         #: :class:`ProbeDeadline` (the solver's cooperative budget).
         self.deadline = deadline
+        #: Frame spans of the system's propagators; None probes over
+        #: the whole system.
+        self.windows = windows
+        #: Suspend mask of the candidate :meth:`probe` was last called
+        #: on (None: no window), applied at every level it pushes.
+        self._mask: Optional[bytes] = None
         #: Probe statistics.
         self.probes = 0
 
@@ -105,6 +133,27 @@ class RecursiveLearner:
             raise ProbeDeadline
 
     # ------------------------------------------------------------------
+    def _enter_level(
+        self, assignments: Sequence[Tuple[Variable, int]]
+    ) -> bool:
+        """Push a probe level, assign, propagate inside the window.
+
+        Returns False on conflict.  The caller leaves the level in a
+        ``finally`` through :meth:`_leave_level`.
+        """
+        self.store.push_level()
+        if self._mask is not None:
+            self.engine.suspend(self._mask)
+        for var, value in assignments:
+            outcome = self.store.assign_bool(var, value, RECURSIVE_TAG)
+            if isinstance(outcome, Conflict):
+                return False
+        return self.engine.propagate() is None
+
+    def _leave_level(self, entry_level: int) -> None:
+        self.store.backtrack_to(entry_level)
+        self.engine.notify_backtrack()
+
     def _propagate_under(
         self, assignments: Sequence[Tuple[Variable, int]]
     ) -> Optional[Dict[int, Interval]]:
@@ -114,27 +163,16 @@ class RecursiveLearner:
         level (keyed by variable index), or ``None`` on conflict.
         """
         entry_level = self.store.decision_level
-        self.store.push_level()
         mark = len(self.store.trail)
-        failed = False
-        for var, value in assignments:
-            outcome = self.store.assign_bool(var, value, RECURSIVE_TAG)
-            if isinstance(outcome, Conflict):
-                failed = True
-                break
-        if not failed:
-            conflict = self.engine.propagate()
-            failed = conflict is not None
-        if failed:
-            self.store.backtrack_to(entry_level)
-            self.engine.notify_backtrack()
-            return None
-        implied: Dict[int, Interval] = {}
-        for event in self.store.trail[mark:]:
-            implied[event.var.index] = event.new
-        self.store.backtrack_to(entry_level)
-        self.engine.notify_backtrack()
-        return implied
+        try:
+            if not self._enter_level(assignments):
+                return None
+            return {
+                event.var.index: event.new
+                for event in self.store.trail[mark:]
+            }
+        finally:
+            self._leave_level(entry_level)
 
     # ------------------------------------------------------------------
     def probe(
@@ -152,6 +190,9 @@ class RecursiveLearner:
         """
         self._check_deadline()
         self.probes += 1
+        self._mask = (
+            None if self.windows is None else self.windows.mask_for(var)
+        )
         if self.store.is_assigned(var):
             current = self.store.value(var)
             if current != value:
@@ -222,57 +263,43 @@ class RecursiveLearner:
         # Deeper recursion: re-enter the branch and recursively probe the
         # still-unassigned Boolean support, merging what it implies.
         entry_level = self.store.decision_level
-        self.store.push_level()
         mark = len(self.store.trail)
-        conflict = None
-        for assign_var, assign_value in assignments:
-            outcome = self.store.assign_bool(
-                assign_var, assign_value, RECURSIVE_TAG
-            )
-            if isinstance(outcome, Conflict):
-                conflict = outcome
-                break
-        if conflict is None:
-            conflict = self.engine.propagate()
-        if conflict is not None:
-            self.store.backtrack_to(entry_level)
-            self.engine.notify_backtrack()
-            return None
-        deeper: Dict[int, Interval] = {}
-        for event in self.store.trail[mark:]:
-            deeper[event.var.index] = event.new
-        # Recursively analyse gates assigned-but-unjustified here.
-        for event in list(self.store.trail[mark:]):
-            target = event.var
-            if not target.is_bool or not event.new.is_point:
-                continue
-            node = self._driver_node(target)
-            if node is None:
-                continue
-            options = justification_options(
-                self.system, node, event.new.lo
-            )
-            if not options:
-                continue
-            nested = self._probe_options(
-                target, event.new.lo, options, depth - 1
-            )
-            if nested is None:
-                # No justification of this implied value survives: the
-                # whole branch is inconsistent.
-                self.store.backtrack_to(entry_level)
-                self.engine.notify_backtrack()
+        try:
+            if not self._enter_level(assignments):
                 return None
-            for index, interval in nested.items():
-                known = deeper.get(index)
-                deeper[index] = (
-                    interval
-                    if known is None
-                    else known.intersect(interval) or known
+            deeper: Dict[int, Interval] = {}
+            for event in self.store.trail[mark:]:
+                deeper[event.var.index] = event.new
+            # Recursively analyse gates assigned-but-unjustified here.
+            for event in list(self.store.trail[mark:]):
+                target = event.var
+                if not target.is_bool or not event.new.is_point:
+                    continue
+                node = self._driver_node(target)
+                if node is None:
+                    continue
+                options = justification_options(
+                    self.system, node, event.new.lo
                 )
-        self.store.backtrack_to(entry_level)
-        self.engine.notify_backtrack()
-        return deeper
+                if not options:
+                    continue
+                nested = self._probe_options(
+                    target, event.new.lo, options, depth - 1
+                )
+                if nested is None:
+                    # No justification of this implied value survives:
+                    # the whole branch is inconsistent.
+                    return None
+                for index, interval in nested.items():
+                    known = deeper.get(index)
+                    deeper[index] = (
+                        interval
+                        if known is None
+                        else known.intersect(interval) or known
+                    )
+            return deeper
+        finally:
+            self._leave_level(entry_level)
 
     def _driver_node(self, var: Variable) -> Optional[Node]:
         if var.net_index is None:

@@ -26,7 +26,6 @@ exactly as it does for a fresh solver.
 
 from __future__ import annotations
 
-import re
 import time
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -35,22 +34,14 @@ from repro.constraints.compile import CompiledExtension
 from repro.constraints.variable import Variable
 from repro.core.config import SolverConfig
 from repro.core.hdpll import AssumptionValue, HdpllSolver
-from repro.core.predlearn import (
-    LearnReport,
-    _clause_key,
-    run_predicate_learning,
-)
+from repro.core.predlearn import _FRAME_RE, LearnReport, _clause_key
 from repro.core.result import SolverResult, SolverStats, Status
 from repro.obs import Observation
 from repro.rtl.circuit import Circuit
 
-#: Frame suffix embedded in unrolled variable names (``net@3``,
-#: ``net@3__carry``); shifting a clause in time is a pure rename.
-_FRAME_RE = re.compile(r"@(\d+)")
-
-
 def shift_name(name: str, delta: int) -> str:
-    """Rename every ``@frame`` occurrence ``delta`` frames later."""
+    """Rename every ``@frame`` occurrence ``delta`` frames later
+    (shifting a clause in time is a pure rename)."""
     return _FRAME_RE.sub(
         lambda match: f"@{int(match.group(1)) + delta}", name
     )
@@ -182,30 +173,14 @@ class SolverSession:
         start = time.perf_counter()
         if self._prof is not None:
             with self._prof.phase("learn"):
-                report = self._run_learning(candidates, deadline)
+                report = self.solver._run_learning(candidates, deadline)
         else:
-            report = self._run_learning(candidates, deadline)
+            report = self.solver._run_learning(candidates, deadline)
         self.learn_seconds += time.perf_counter() - start
         self.relations_learned += report.relations_learned
         if report.root_conflict:
             self.root_conflict = True
         return report
-
-    def _run_learning(
-        self, candidates, deadline: Optional[float] = None
-    ) -> LearnReport:
-        solver = self.solver
-        return run_predicate_learning(
-            solver.system,
-            solver.store,
-            solver.engine,
-            solver.order,
-            threshold=solver.config.learning_threshold,
-            deadline=deadline,
-            phase_hints=solver.config.learned_phase_hints,
-            tracer=self._trace,
-            candidates=candidates,
-        )
 
     # ------------------------------------------------------------------
     # Clause shifting

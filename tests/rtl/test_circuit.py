@@ -163,6 +163,29 @@ class TestRegisters:
         with pytest.raises(CircuitError):
             b.build()
 
+    def test_validate_checks_what_was_appended_since(self):
+        # A passing validate covers what exists; nets and outputs added
+        # after it are still checked by the next call.
+        b = CircuitBuilder()
+        a = b.input("a", 4)
+        b.output("o", b.inc(a))
+        circuit = b.build()
+        circuit.validate()
+        circuit.new_net(4, "dangling")
+        with pytest.raises(CircuitError, match="dangling"):
+            circuit.validate()
+
+        other = CircuitBuilder()
+        foreign = [other.input(f"x{i}", 4) for i in range(8)]
+        for net in (foreign[0], foreign[-1]):  # index inside, past the nets
+            b = CircuitBuilder()
+            b.output("o", b.inc(b.input("a", 4)))
+            circuit = b.build()
+            circuit.validate()
+            circuit.mark_output("stray", net)
+            with pytest.raises(CircuitError, match="foreign"):
+                circuit.validate()
+
     def test_double_connect_rejected(self):
         b = CircuitBuilder()
         r = b.register("r", 4)
