@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SolverConfig
+from repro.core.predlearn import frame_span, shift_name
 from repro.core.result import SolverResult, Status
-from repro.core.session import SolverSession, frame_span, shift_name
+from repro.core.session import SolverSession
 from repro.obs import Observation
 from repro.rtl.circuit import Circuit, Net
-from repro.rtl.predicates import PredicateCone
+from repro.rtl.predicates import extract_predicates
 from repro.rtl.types import OpKind
 from repro.bmc.property import (
     SafetyProperty,
@@ -157,13 +158,11 @@ class BmcSession:
             self.unroller.unrolled, self.config, observation
         )
         self.cache = ProbeCache()
-        #: Predicate candidates of the unrolling, grown frame by frame.
-        self._cone = PredicateCone()
         self._init_assumptions = (
             initial_register_assumptions(circuit) if base else {}
         )
         if self.config.predicate_learning:
-            self._learn_frame(0, self.unroller.unrolled.nodes)
+            self._learn_frame(0)
 
     # ------------------------------------------------------------------
     # Frame growth
@@ -176,7 +175,7 @@ class BmcSession:
             new_top = self.unroller.frames - 1
             self._shift_learned(new_top)
             if self.config.predicate_learning:
-                self._learn_frame(new_top, nodes)
+                self._learn_frame(new_top)
 
     def _shift_learned(self, new_top: int) -> None:
         """Re-instantiate previous-top conflict clauses at the new top.
@@ -210,22 +209,18 @@ class BmcSession:
                 installed=installed,
             )
 
-    def _frame_candidates(self, frame: int, nodes) -> List[Net]:
-        """The frame's learning candidates, from its appended ``nodes``:
-        ``extract_predicates(unrolled).learning_candidates`` filtered to
-        nets tagged ``frame``, at the cost of the new frame alone."""
-        return [
-            net
-            for net in self._cone.extend(nodes)
-            if _frame_of(net.name)[1] == frame
-        ]
-
-    def _learn_frame(self, frame: int, nodes) -> None:
+    def _learn_frame(self, frame: int) -> None:
         """Predicate-learn the new frame, probing each distinct cone once."""
-        candidates = self._frame_candidates(frame, nodes)
         session = self.session
         if session.root_conflict:
             return
+        candidates = [
+            net
+            for net in extract_predicates(
+                self.unroller.unrolled
+            ).learning_candidates
+            if _frame_of(net.name)[1] == frame
+        ]
         memo: Dict[int, tuple] = {}
         trace = session._trace
         misses: List[Tuple[Net, tuple]] = []

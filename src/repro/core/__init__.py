@@ -19,10 +19,15 @@ from repro.core.config import (
     SolverConfig,
 )
 from repro.core.hdpll import HdpllSolver, solve_circuit
-from repro.core.predlearn import LearnReport, run_predicate_learning
+from repro.core.predlearn import (
+    LearnReport,
+    frame_span,
+    run_predicate_learning,
+    shift_name,
+)
 from repro.core.recursive import RecursiveLearner, justification_options
 from repro.core.result import SolverResult, SolverStats, Status
-from repro.core.session import SolverSession, frame_span, shift_name
+from repro.core.session import SolverSession
 
 __all__ = [
     "AbstractionResult",

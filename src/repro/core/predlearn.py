@@ -76,9 +76,33 @@ CONDITIONALS_PER_PROBE = 8
 PROBE_WINDOW = 1
 
 #: Frame tag embedded in unrolled variable names (``net@3``,
-#: ``net@3__carry``); :mod:`repro.core.session` shifts clauses in time
-#: by renaming it.
+#: ``net@3__carry``).
 _FRAME_RE = re.compile(r"@(\d+)")
+
+
+def shift_name(name: str, delta: int) -> str:
+    """Rename every ``@frame`` occurrence ``delta`` frames later
+    (shifting a clause in time is a pure rename)."""
+    return _FRAME_RE.sub(
+        lambda match: f"@{int(match.group(1)) + delta}", name
+    )
+
+
+def frame_span(
+    names: Iterable[str], skip_untagged: bool = False
+) -> Optional[Tuple[int, int]]:
+    """(min, max) frame referenced by the names.  A name without a frame
+    tag makes it None (such a clause cannot be shifted), or is skipped
+    with ``skip_untagged``; None also when no name carries a tag."""
+    frames: List[int] = []
+    for name in names:
+        tags = _FRAME_RE.findall(name)
+        if not tags and not skip_untagged:
+            return None
+        frames.extend(map(int, tags))
+    if not frames:
+        return None
+    return min(frames), max(frames)
 
 
 class ProbeWindows:
@@ -112,7 +136,10 @@ class ProbeWindows:
         """Add the spans of appended propagators (frame extension)."""
         for propagator in propagators:
             position = len(self._template)
-            span = _tag_span(var.name for var in propagator.variables)
+            span = frame_span(
+                (var.name for var in propagator.variables),
+                skip_untagged=True,
+            )
             if span is None:
                 self._template.append(0)
                 self._hi.append(-1)
@@ -128,7 +155,7 @@ class ProbeWindows:
         """Suspend mask for probing ``var``: 1 at every propagator whose
         span misses ``var``'s frames widened by :data:`PROBE_WINDOW` on
         each side.  None when ``var`` carries no frame tag."""
-        span = _tag_span((var.name,))
+        span = frame_span((var.name,))
         if span is None:
             return None
         if span != self._key:
@@ -144,15 +171,6 @@ class ProbeWindows:
             self._key = span
             self._mask = bytes(mask)
         return self._mask
-
-
-def _tag_span(names: Iterable[str]) -> Optional[Tuple[int, int]]:
-    """(min, max) ``@frame`` tag in ``names``; untagged names are
-    skipped, and None means no name carries a tag."""
-    frames = [int(tag) for name in names for tag in _FRAME_RE.findall(name)]
-    if not frames:
-        return None
-    return min(frames), max(frames)
 
 
 @dataclass

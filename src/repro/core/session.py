@@ -34,33 +34,10 @@ from repro.constraints.compile import CompiledExtension
 from repro.constraints.variable import Variable
 from repro.core.config import SolverConfig
 from repro.core.hdpll import AssumptionValue, HdpllSolver
-from repro.core.predlearn import _FRAME_RE, LearnReport, _clause_key
+from repro.core.predlearn import LearnReport, _clause_key
 from repro.core.result import SolverResult, SolverStats, Status
 from repro.obs import Observation
 from repro.rtl.circuit import Circuit
-
-def shift_name(name: str, delta: int) -> str:
-    """Rename every ``@frame`` occurrence ``delta`` frames later
-    (shifting a clause in time is a pure rename)."""
-    return _FRAME_RE.sub(
-        lambda match: f"@{int(match.group(1)) + delta}", name
-    )
-
-
-def frame_span(names: Iterable[str]) -> Optional[Tuple[int, int]]:
-    """(min, max) frame referenced by the names, or None when any name
-    carries no frame tag (such a clause cannot be shifted)."""
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    for name in names:
-        frames = [int(m) for m in _FRAME_RE.findall(name)]
-        if not frames:
-            return None
-        lo = min(frames) if lo is None else min(lo, *frames)
-        hi = max(frames) if hi is None else max(hi, *frames)
-    if lo is None or hi is None:
-        return None
-    return lo, hi
 
 
 class SolverSession:

@@ -15,7 +15,6 @@ the structure the paper's techniques exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CircuitError
@@ -118,9 +117,6 @@ class Circuit:
         #: is register next-state wiring (excluded from the dependency
         #: walk), so the count fully determines the order.
         self._topo_cache: Optional[Tuple[int, List[Node]]] = None
-        #: (nets, registers, outputs) counts the last passing
-        #: :meth:`validate` covered.
-        self._validated: Tuple[int, int, int] = (0, 0, 0)
 
     # ------------------------------------------------------------------
     # Net management
@@ -417,32 +413,19 @@ class Circuit:
         return list(order)
 
     def validate(self) -> None:
-        """Check structural invariants; raises :class:`CircuitError`.
-
-        Nets, registers and outputs are append-only, and a net keeps its
-        driver, a register its next-state input and an output its net,
-        so a call checks only those added since the last call that
-        passed (BMC frame extension validates once per frame); the
-        memoized topological order checks the appended nodes.
-        """
-        nets, registers, outputs = self._validated
-        for net in self.nets[nets:]:
+        """Check structural invariants; raises :class:`CircuitError`."""
+        for net in self.nets:
             if net.driver is None:
                 raise CircuitError(f"net {net.name!r} has no driver")
-        for node in self.registers[registers:]:
+        for node in self.registers:
             if not node.operands:
                 raise CircuitError(
                     f"register {node.output.name!r} has no next-state input"
                 )
         self.topological_nodes()
-        for name, net in islice(self.outputs.items(), outputs, None):
+        for name, net in self.outputs.items():
             if net.index >= len(self.nets) or self.nets[net.index] is not net:
                 raise CircuitError(f"output {name!r} references a foreign net")
-        self._validated = (
-            len(self.nets),
-            len(self.registers),
-            len(self.outputs),
-        )
 
     def stats(self) -> CircuitStats:
         """Operator census in the categories the paper's tables report.

@@ -5,18 +5,14 @@ control signals to multiplexers" as predicates, and extracts the predicate
 logic that controls the datapath with a cone-of-influence analysis.  The
 candidates for recursive learning are the Boolean gates of that control
 cone, probed in level order.
-
-:func:`extract_predicates` analyses a whole circuit; :class:`PredicateCone`
-gives the same candidates for a circuit that grows by appended nodes
-(BMC frame extension) at the cost of the appended nodes alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set
+from typing import List, Set
 
-from repro.rtl.circuit import Circuit, Net, Node
+from repro.rtl.circuit import Circuit, Net
 from repro.rtl.levelize import levelize
 from repro.rtl.types import BOOLEAN_KINDS, PREDICATE_KINDS, OpKind
 
@@ -95,77 +91,6 @@ def extract_predicates(circuit: Circuit) -> PredicateReport:
         control_points=control_points,
         learning_candidates=candidates,
     )
-
-
-class PredicateCone:
-    """:func:`extract_predicates`'s learning candidates, grown node by node.
-
-    :meth:`extend` takes nodes appended to a circuit in dependency
-    order (their operands are earlier nodes) and returns the appended
-    nets that the whole circuit's ``learning_candidates`` holds, in the
-    same (level, net index) order.  Appending nodes never changes an
-    existing net's level or forward membership, and a backward walk
-    from a new mux select leaves the appended nets only through nets
-    whose own drivers are older still, so each step costs O(appended).
-    """
-
-    def __init__(self) -> None:
-        #: Net index -> level, as :func:`levelize` gives it.
-        self._level: Dict[int, int] = {}
-        #: Predicate outputs and the Boolean gates fed by one, kept
-        #: across steps: a later gate joins through any operand here.
-        self._forward: Set[int] = set()
-
-    def extend(self, nodes: Iterable[Node]) -> List[Net]:
-        """Absorb ``nodes``; return their candidate output nets."""
-        nodes = list(nodes)
-        level = self._level
-        forward = self._forward
-        appended: Set[int] = set()
-        selects: List[Net] = []
-        for node in nodes:
-            out = node.output.index
-            appended.add(out)
-            kind = node.kind
-            if kind in (OpKind.INPUT, OpKind.CONST, OpKind.REG):
-                level[out] = 0
-                continue
-            level[out] = 1 + max(
-                level[operand.index] for operand in node.operands
-            )
-            if kind in PREDICATE_KINDS:
-                forward.add(out)
-            elif kind in BOOLEAN_KINDS:
-                if any(operand.index in forward for operand in node.operands):
-                    forward.add(out)
-            elif kind is OpKind.MUX:
-                selects.append(node.operands[0])
-        backward: Set[int] = set()
-        stack = selects
-        while stack:
-            net = stack.pop()
-            index = net.index
-            if (
-                index not in appended
-                or index in backward
-                or not net.is_bool
-            ):
-                continue
-            backward.add(index)
-            driver = net.driver
-            if driver is not None and driver.kind in BOOLEAN_KINDS:
-                stack.extend(driver.operands)
-        candidates = [
-            node.output
-            for node in nodes
-            if node.kind in (BOOLEAN_KINDS | PREDICATE_KINDS)
-            and (
-                node.output.index in forward
-                or node.output.index in backward
-            )
-        ]
-        candidates.sort(key=lambda net: (level[net.index], net.index))
-        return candidates
 
 
 def count_predicate_gates(circuit: Circuit) -> int:

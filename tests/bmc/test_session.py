@@ -15,8 +15,6 @@ from __future__ import annotations
 import os
 from typing import List, Sequence
 
-import pytest
-
 from repro.bmc import (
     BmcSession,
     IncrementalUnroller,
@@ -25,20 +23,16 @@ from repro.bmc import (
     make_bmc_instance,
     unroll,
 )
-from repro.bmc.induction import prove_by_induction
-from repro.bmc.session import _frame_of
 from repro.constraints import ClauseDatabase, DomainStore, Variable
 from repro.constraints.clause import Clause, make_bool_lit
-from repro.core import HDPLL_SP, SolverConfig, Status, solve_circuit
+from repro.core import SolverConfig, Status, solve_circuit
 from repro.harness.parallel import Task, run_tasks
 from repro.intervals import Interval
-from repro.itc99 import CIRCUITS
 from repro.itc99 import circuit as itc99_circuit
 from repro.itc99.generator import (
     random_safety_property,
     random_sequential_circuit,
 )
-from repro.rtl.predicates import extract_predicates
 from repro.rtl.simulate import SequentialSimulator
 
 _NUM_SEEDS = 40
@@ -361,59 +355,3 @@ def test_session_reuses_probe_cache_across_frames():
     session.solve_bound(4)
     assert session.cache.hits > 0
     assert session.cache.misses > 0
-
-
-# ----------------------------------------------------------------------
-# Per-frame learning candidates
-# ----------------------------------------------------------------------
-
-
-def _check_frame_candidates(monkeypatch) -> List[str]:
-    """Compare every frame's candidate list with the whole unrolling's
-    ``extract_predicates`` filtered to the frame; returns mismatches."""
-    failures: List[str] = []
-    grown = BmcSession._frame_candidates
-
-    def checked(self, frame, nodes):
-        candidates = grown(self, frame, nodes)
-        expected = [
-            net
-            for net in extract_predicates(
-                self.unroller.unrolled
-            ).learning_candidates
-            if _frame_of(net.name)[1] == frame
-        ]
-        if candidates != expected:
-            failures.append(
-                f"{self.unroller.unrolled.name} frame {frame}: "
-                f"{[n.name for n in candidates]} != "
-                f"{[n.name for n in expected]}"
-            )
-        return candidates
-
-    monkeypatch.setattr(BmcSession, "_frame_candidates", checked)
-    return failures
-
-
-def test_frame_candidates_match_whole_extraction_on_sweep_seeds(monkeypatch):
-    failures = _check_frame_candidates(monkeypatch)
-    config = SolverConfig(predicate_learning=True)
-    for seed in range(_NUM_SEEDS):
-        circuit = random_sequential_circuit(seed, **_SWEEP_SHAPE)
-        session = BmcSession(circuit, random_safety_property(), config)
-        session.extend_to(_MAX_BOUND + 2)
-    assert not failures, "\n".join(failures)
-
-
-@pytest.mark.parametrize("name,k", [("b13", 13), ("b06", 11), ("b03", 8)])
-def test_frame_candidates_match_whole_extraction_on_proves(
-    monkeypatch, name, k
-):
-    """The three violated proves: every extension of their base and step
-    sessions, and the depth each still finds."""
-    failures = _check_frame_candidates(monkeypatch)
-    result = prove_by_induction(
-        itc99_circuit(name), CIRCUITS[name][1]["40"], max_k=15, config=HDPLL_SP
-    )
-    assert (result.status.value, result.k) == ("violated", k)
-    assert not failures, "\n".join(failures)

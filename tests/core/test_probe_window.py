@@ -25,6 +25,7 @@ from repro.core.decide import ActivityOrder
 from repro.core.predlearn import (
     PROBE_WINDOW,
     ProbeWindows,
+    frame_span,
     run_predicate_learning,
 )
 from repro.core.recursive import ProbeDeadline, RecursiveLearner
@@ -64,6 +65,16 @@ def _expected_mask(propagators, frame):
 # ----------------------------------------------------------------------
 # Masks
 # ----------------------------------------------------------------------
+
+
+def test_frame_span_skips_untagged_names_only_when_asked():
+    # Clause shifting needs every name tagged; a propagator's span
+    # ignores its untagged variables.
+    names = ["a@3", "b@5__carry@4", "const"]
+    assert frame_span(names) is None
+    assert frame_span(names, skip_untagged=True) == (3, 5)
+    assert frame_span(["const"], skip_untagged=True) is None
+    assert frame_span([]) is None
 
 
 def _var_in_frame(system, frame):

@@ -164,8 +164,9 @@ class TestRegisters:
             b.build()
 
     def test_validate_checks_what_was_appended_since(self):
-        # A passing validate covers what exists; nets and outputs added
-        # after it are still checked by the next call.
+        # Nets and outputs added after a passing validate are checked by
+        # the next call; a foreign output is a CircuitError even when its
+        # index is past the circuit's nets.
         b = CircuitBuilder()
         a = b.input("a", 4)
         b.output("o", b.inc(a))
