@@ -1,9 +1,9 @@
 """Incremental BMC: one solver session swept over increasing bounds.
 
 One-shot BMC re-unrolls, re-compiles and re-learns from scratch at every
-bound.  :class:`BmcSession` instead keeps a single
-:class:`~repro.core.session.SolverSession` alive over a growing
-free-initial unrolling:
+bound.  :class:`BmcSession` instead keeps a single persistent
+:class:`~repro.core.hdpll.HdpllSolver` alive over a growing free-initial
+unrolling:
 
 * **Frame-extension compile** — each new bound appends one time frame's
   nodes to the live compiled system (no recompilation of frames
@@ -27,12 +27,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.constraints.clause import BoolLit, Clause, Literal, WordLit
 from repro.core.config import SolverConfig
-from repro.core.predlearn import frame_span, shift_name
+from repro.core.hdpll import HdpllSolver
+from repro.core.predlearn import (
+    clause_key,
+    frame_of,
+    frame_span,
+    shift_name,
+)
 from repro.core.result import SolverResult, Status
-from repro.core.session import SolverSession
 from repro.obs import Observation
 from repro.rtl.circuit import Circuit, Net
 from repro.rtl.predicates import extract_predicates
@@ -44,14 +50,6 @@ from repro.bmc.property import (
     make_bmc_instance,
 )
 from repro.bmc.unroll import IncrementalUnroller, frame_name
-
-
-def _frame_of(name: str) -> Tuple[str, Optional[int]]:
-    """Split ``n@3`` into ``("n", 3)``; frameless names get ``None``."""
-    base, sep, tail = name.rpartition("@")
-    if sep and tail.isdigit():
-        return base, int(tail)
-    return name, None
 
 
 def cone_signature(net: Net, frame: int, memo: Dict[int, tuple]) -> tuple:
@@ -69,7 +67,7 @@ def cone_signature(net: Net, frame: int, memo: Dict[int, tuple]) -> tuple:
     cached = memo.get(net.index)
     if cached is not None:
         return cached
-    base, net_frame = _frame_of(net.name)
+    base, net_frame = frame_of(net.name)
     if net_frame is not None and net_frame < frame:
         signature: tuple = ("frame", frame - net_frame, base)
     else:
@@ -154,10 +152,15 @@ class BmcSession:
             name=f"{circuit.name}_{'base' if base else 'step'}",
         )
         self.unroller.extend(1)
-        self.session = SolverSession(
-            self.unroller.unrolled, self.config, observation
+        self.session = HdpllSolver(
+            self.unroller.unrolled, self.config, observation, persistent=True
         )
+        tracer = observation.tracer if observation is not None else None
+        self._trace = tracer if tracer is not None and tracer.enabled else None
         self.cache = ProbeCache()
+        #: Dedup keys of the shifted clauses installed so far.
+        self._installed_keys: Set[Tuple] = set()
+        self.clauses_shifted = 0
         self._init_assumptions = (
             initial_register_assumptions(circuit) if base else {}
         )
@@ -186,20 +189,17 @@ class BmcSession:
         into ``new_top`` peaks there, so the next extension shifts the
         copy again).
         """
-        shiftable = [
-            clause
-            for clause in self.session.learned_clauses()
-            if clause.origin in _SHIFTABLE_ORIGINS
-        ]
         batch = []
-        for clause in shiftable:
+        for clause in self.session.engine.clause_db.clauses:
+            if not clause.learned or clause.origin not in _SHIFTABLE_ORIGINS:
+                continue
             span = frame_span(lit.var.name for lit in clause.literals)
             if span is not None and span[1] == new_top - 1:
                 batch.append(clause)
-        installed = self.session.install_shifted(
+        installed = self.install_shifted(
             batch, lambda name: shift_name(name, 1)
         )
-        trace = self.session._trace
+        trace = self._trace
         if trace is not None:
             trace.event(
                 "clause-shift",
@@ -219,19 +219,18 @@ class BmcSession:
             for net in extract_predicates(
                 self.unroller.unrolled
             ).learning_candidates
-            if _frame_of(net.name)[1] == frame
+            if frame_of(net.name)[1] == frame
         ]
         memo: Dict[int, tuple] = {}
-        trace = session._trace
+        trace = self._trace
         misses: List[Tuple[Net, tuple]] = []
         for net in candidates:
             signature = cone_signature(net, frame, memo)
             entry = self.cache.get(signature)
             if entry is not None:
                 self.cache.hits += 1
-                session.probe_cache_hits += 1
                 delta = frame - entry.frame
-                session.install_shifted(
+                self.install_shifted(
                     entry.clauses, lambda name: shift_name(name, delta)
                 )
                 if trace is not None:
@@ -246,7 +245,6 @@ class BmcSession:
                     return
             else:
                 self.cache.misses += 1
-                session.probe_cache_misses += 1
                 misses.append((net, signature))
         if not misses:
             return
@@ -265,6 +263,74 @@ class BmcSession:
                 )
 
     # ------------------------------------------------------------------
+    # Clause shifting
+    # ------------------------------------------------------------------
+    def install_shifted(
+        self,
+        clauses: Iterable[Clause],
+        rename: Callable[[str], str],
+    ) -> int:
+        """Re-instantiate learned clauses under a variable renaming.
+
+        Every literal's variable is mapped through ``rename`` and the
+        solver's name table; a clause is skipped when any renamed
+        variable does not exist (the target frame lacks that net) or
+        when an identical clause was already installed here.
+        Installation happens at level 0, so shifted unit facts become
+        permanent domain narrowings — sound, because shifting is a
+        syntactic embedding of the constraint system into itself (see
+        docs/performance.md).  Returns the number installed.
+        """
+        installed = 0
+        for clause in clauses:
+            literals = self._rename_literals(clause.literals, rename)
+            if literals is None:
+                continue
+            key = clause_key(literals)
+            if key in self._installed_keys:
+                continue
+            self._installed_keys.add(key)
+            origin = (
+                "predicate-shifted"
+                if clause.origin.startswith("predicate")
+                else "conflict-shifted"
+            )
+            copy = Clause(literals=literals, learned=True, origin=origin)
+            installed += 1
+            if not self.session.add_clause(copy):
+                # A root refutation: the clause is in the database and
+                # every later query is UNSAT.  It still counts, and the
+                # clause-DB cap below still runs on this exit.
+                break
+        self.clauses_shifted += installed
+        cap = self.config.clause_db_max_learned
+        if cap:
+            self.session.engine.clause_db.enforce_cap(cap)
+        return installed
+
+    def _rename_literals(
+        self,
+        literals: Tuple[Literal, ...],
+        rename: Callable[[str], str],
+    ) -> Optional[Tuple[Literal, ...]]:
+        renamed: List[Literal] = []
+        for literal in literals:
+            target = self.session.var_by_name.get(rename(literal.var.name))
+            if target is None:
+                return None
+            if isinstance(literal, BoolLit):
+                renamed.append(BoolLit(target, positive=literal.positive))
+            elif isinstance(literal, WordLit):
+                renamed.append(
+                    WordLit(
+                        target, literal.interval, positive=literal.positive
+                    )
+                )
+            else:  # pragma: no cover - new literal kinds must be handled
+                return None
+        return tuple(renamed)
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def solve_bound(
@@ -274,7 +340,7 @@ class BmcSession:
         self.extend_to(bound)
         assumptions: Dict[str, int] = dict(self._init_assumptions)
         assumptions[frame_name(self.prop.ok_signal, bound - 1)] = 0
-        return self.session.solve(assumptions, timeout=timeout)
+        return self._stamp(self.session.solve(assumptions, timeout=timeout))
 
     def solve_step(
         self, k: int, timeout: Optional[float] = None
@@ -286,7 +352,19 @@ class BmcSession:
         }
         assumptions[frame_name(self.prop.ok_signal, k)] = 0
         assumptions.update(self._init_assumptions)
-        return self.session.solve(assumptions, timeout=timeout)
+        return self._stamp(self.session.solve(assumptions, timeout=timeout))
+
+    def _stamp(self, result: SolverResult) -> SolverResult:
+        """Fold the shifting and probe-cache counters into a result."""
+        stats = result.stats
+        stats.clauses_shifted = self.clauses_shifted
+        stats.probe_cache_hits = self.cache.hits
+        stats.probe_cache_misses = self.cache.misses
+        lookups = self.cache.hits + self.cache.misses
+        stats.probe_cache_hit_rate = (
+            self.cache.hits / lookups if lookups else 0.0
+        )
+        return result
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,10 @@ next-state net from frame ``t - 1``.  Net ``n`` of frame ``t`` is named
 :class:`IncrementalUnroller` is the growth-capable form: it appends one
 frame at a time to a single unrolled circuit and hands back the freshly
 added nodes (in dependency order), which is what the incremental solving
-layer feeds to :meth:`repro.core.session.SolverSession.extend`.  The
-classic :func:`unroll` / :func:`unroll_free_initial` are thin wrappers
-that build all frames up front.
+layer feeds to a persistent solver's
+:meth:`~repro.core.hdpll.HdpllSolver.extend`.  The classic
+:func:`unroll` / :func:`unroll_free_initial` are thin wrappers that
+build all frames up front.
 """
 
 from __future__ import annotations

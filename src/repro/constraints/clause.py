@@ -523,7 +523,7 @@ class ClauseDatabase:
     def _assign_tier(self, clause: Clause) -> None:
         """Place a learned clause in its LBD tier at install time.
 
-        An LBD of 0 means "not computed" (e.g. decision-cut clauses);
+        An LBD of 0 means "not computed" (e.g. predicate or shifted clauses);
         such clauses go to the local tier rather than masquerading as
         glue.  Binary clauses are core regardless of recorded LBD —
         they are cheap to keep and as strong as glue.

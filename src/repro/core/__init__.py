@@ -1,6 +1,7 @@
 """HDPLL core: the paper's primary contribution.
 
-* :class:`HdpllSolver` / :func:`solve_circuit` — Algorithm 1.
+* :class:`HdpllSolver` / :func:`solve_circuit` — Algorithm 1, one-shot
+  or as a persistent session over many queries.
 * :mod:`repro.core.predlearn` — Section 3 predicate learning.
 * :mod:`repro.core.justify` — Section 4 structural decision strategy.
 * :mod:`repro.core.recursive` — classic recursive learning (Section 2.3).
@@ -27,7 +28,6 @@ from repro.core.predlearn import (
 )
 from repro.core.recursive import RecursiveLearner, justification_options
 from repro.core.result import SolverResult, SolverStats, Status
-from repro.core.session import SolverSession
 
 __all__ = [
     "AbstractionResult",
@@ -40,7 +40,6 @@ __all__ = [
     "RecursiveLearner",
     "SolverConfig",
     "SolverResult",
-    "SolverSession",
     "SolverStats",
     "Status",
     "frame_span",

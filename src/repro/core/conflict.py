@@ -272,29 +272,3 @@ def analyze_conflict(
         asserting_literal=uip_literal,
         literals_minimized=minimized,
     )
-
-
-def decision_cut_clause(store: DomainStore) -> Optional[Clause]:
-    """The all-decisions conflict clause (used for FME leaf refutations).
-
-    The Omega refutation of a solution box depends, through propagation,
-    on the decisions that shaped the box; negating the full decision
-    conjunction is always a sound (if blunt) learned clause — the classic
-    decision cut.  Returns ``None`` when there are no decisions (UNSAT).
-    """
-    literals: List[Literal] = []
-    for event in store.trail:
-        # Level-0 assumptions (the single-shot path) are part of the
-        # problem itself; retractable assumption *levels* (persistent
-        # sessions) must enter the cut like decisions or the clause
-        # would claim validity beyond the current query.
-        if event.is_decision or (event.is_assumption and event.level > 0):
-            if _is_bool_point(event):
-                literals.append(_negate_event_literal(event))
-            else:
-                literals.append(
-                    WordLit(event.var, event.new, positive=False)
-                )
-    if not literals:
-        return None
-    return Clause(literals=tuple(literals), learned=True, origin="fme-conflict")

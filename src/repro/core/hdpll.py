@@ -15,6 +15,21 @@ Optional strategies (the paper's contributions):
 * ``structural_decisions`` — Section 4 justification-driven ``Decide``
   (see :mod:`repro.core.justify`).
 
+Sessions: a solver built with ``persistent=True`` answers many queries
+over one compiled system.  It keeps the constraint network, the learned
+clauses, the activities and the interval-interning state alive across
+``solve(assumptions)`` calls, asserts each query's assumptions at
+retractable decision levels (re-asserted lazily after backjumps and
+restarts, MiniSat-style) and retracts them before returning.  Level 0
+therefore only ever holds consequences of the problem itself, which is
+what makes the learned clauses sound to keep and to shift to later
+time frames (:mod:`repro.bmc.session`).  :meth:`HdpllSolver.extend`
+compiles appended circuit nodes into the live system, and
+:meth:`HdpllSolver.learn` runs predicate learning over an explicit
+candidate list, so a BMC driver probes only the appended frame.  The
+generated propagation kernels survive extension, and so does their
+parity with the reference core.
+
 Observability: pass an :class:`repro.obs.Observation` to stream a
 structured JSONL trace of every decision / propagation batch / conflict
 / restart / J-frontier action / FME leaf, and to collect a hierarchical
@@ -29,6 +44,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ResourceLimitError, SolverError
@@ -42,10 +58,16 @@ from repro.constraints.compile import (
 )
 from repro.constraints.engine import PropagationEngine
 from repro.constraints.store import ASSUMPTION, Conflict, DomainStore
+from repro.constraints.variable import Variable
 from repro.core.config import SolverConfig
-from repro.core.conflict import analyze_conflict, decision_cut_clause
+from repro.core.conflict import analyze_conflict
 from repro.core.decide import ActivityOrder
 from repro.core.fme_leaf import check_solution_box
+from repro.core.predlearn import (
+    LearnReport,
+    ProbeWindows,
+    run_predicate_learning,
+)
 from repro.core.result import SolverResult, SolverStats, Status
 from repro.obs import Observation
 from repro.obs.trace import TRACE_SCHEMA_VERSION
@@ -117,8 +139,8 @@ class HdpllSolver:
         #: Persistent (session) mode: the solver answers repeated
         #: ``solve`` calls, asserting assumptions at retractable decision
         #: levels and undoing them afterwards, and its constraint system
-        #: can grow via :meth:`extend_system`.  Predicate learning is
-        #: then driven externally (see :class:`repro.core.session.SolverSession`).
+        #: can grow via :meth:`extend`.  Predicate learning is then the
+        #: caller's to run, through :meth:`learn`.
         self.persistent = persistent
         tracer = observation.tracer if observation is not None else None
         #: Trace emitter, or None when tracing is off (the common case);
@@ -150,6 +172,8 @@ class HdpllSolver:
                 self.system, self.store, self.order, tracer=self._trace
             )
         self._deadline: Optional[float] = None
+        #: The current query's time budget (for its timeout note).
+        self._timeout: Optional[float] = None
         #: A solver instance answers exactly one query (unless persistent).
         self._consumed = False
         #: Pending interval assumptions, one per retractable decision
@@ -158,8 +182,6 @@ class HdpllSolver:
         self._assumption_plan: Optional[
             List[Tuple["Variable", Interval]]
         ] = None
-        #: Level 0 still needs an initial/extension fixpoint pass.
-        self._pending_saturation = True
         #: Cumulative engine/order counters at the start of the current
         #: solve; ``_finish`` reports deltas so persistent sessions get
         #: per-query stats.  All zero in single-shot mode.
@@ -174,13 +196,13 @@ class HdpllSolver:
         #: How the most recent (var, value) decision was chosen
         #: ("activity" or "structural") — trace metadata only.
         self._decision_kind = "activity"
-        #: Engine BCP/ICP seconds accrued before search began, so the
-        #: profiler can split propagation time between learn and search.
-        self._learn_bcp = 0.0
-        self._learn_icp = 0.0
+        #: Engine BCP/ICP clocks when the current search began, so the
+        #: profiler attributes only this search's propagation to it.
+        self._search_bcp = 0.0
+        self._search_icp = 0.0
         #: Frame spans of the propagators, for frame-local learning
         #: probes (built at the first learning pass, grown by
-        #: :meth:`extend_system`).
+        #: :meth:`extend`).
         self._windows = None
         #: Optional clause-sharing channel (the portfolio layer): an
         #: object with ``export(clause)`` — called with every learned
@@ -192,12 +214,33 @@ class HdpllSolver:
         #: arrived for the next ``poll`` and may raise to end the solve.
         #: ``None`` keeps the hot path a single attribute test.
         self.share = None
+        #: name -> variable over net *and* auxiliary variables (the
+        #: compiled system's ``var_by_name`` resolves nets only); clause
+        #: importers and clause shifting rename through it.
+        self.var_by_name: Dict[str, Variable] = {
+            var.name: var for var in self.system.variables
+        }
+        #: Lifetime counters: queries asked, relations learned and
+        #: seconds spent learning.  A persistent solver stamps them onto
+        #: every query's stats.
+        self.session_solves = 0
+        self.relations_learned = 0
+        self.learn_seconds = 0.0
+        #: Level 0 is refuted (at construction, by learning, by an
+        #: extension or by a clause installed at level 0): every later
+        #: query is UNSAT.
+        self.root_conflict = False
+        if persistent:
+            self.engine.enqueue_all()
+            self._saturate_level0()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def solve(
-        self, assumptions: Mapping[str, AssumptionValue]
+        self,
+        assumptions: Mapping[str, AssumptionValue],
+        timeout: Optional[float] = None,
     ) -> SolverResult:
         """Check satisfiability under net-name assumptions.
 
@@ -206,6 +249,9 @@ class HdpllSolver:
         with ``persistent=True``, in which case assumptions are asserted
         at retractable decision levels and fully undone before returning,
         keeping learned clauses and activities for the next query.
+        ``timeout`` budgets this query alone (default: the configured
+        ``timeout``), so one short-deadline request to a shared session
+        never shortens the budget of later ones.
         """
         if self._consumed and not self.persistent:
             raise SolverError(
@@ -214,12 +260,23 @@ class HdpllSolver:
             )
         self._consumed = True
         if self.persistent:
+            self.session_solves += 1
+            if self.root_conflict:
+                result = SolverResult(
+                    status=Status.UNSAT,
+                    model=None,
+                    stats=SolverStats(),
+                    note="level-0 refutation during session setup",
+                )
+                self._stamp(result.stats)
+                return result
             self._begin_persistent_solve()
         self._cache_mark = interval_cache_stats()
         tracer = self._trace
         start = time.perf_counter()
-        if self.config.timeout is not None:
-            self._deadline = start + self.config.timeout
+        self._timeout = self.config.timeout if timeout is None else timeout
+        if self._timeout is not None:
+            self._deadline = start + self._timeout
         if tracer is not None:
             tracer.event(
                 "solve_begin",
@@ -283,70 +340,99 @@ class HdpllSolver:
             self.stats.conflicts,
             self.stats.solve_time,
         )
+        if self.persistent:
+            self._stamp(result.stats)
+            if tracer is not None:
+                tracer.event(
+                    "session-solve",
+                    dl=0,
+                    n=self.session_solves,
+                    status=result.status.value,
+                    assumptions=len(assumptions),
+                    seconds=time.perf_counter() - start,
+                )
         return result
 
     def _solve(
         self, assumptions: Mapping[str, AssumptionValue], start: float
     ) -> SolverResult:
-        prof = self._prof
-        if self.config.predicate_learning and not self.persistent:
-            learn_start = time.perf_counter()
-            if prof is not None:
-                with prof.phase("learn"):
-                    report = self._run_learning(deadline=self._deadline)
-            else:
-                report = self._run_learning(deadline=self._deadline)
-            self.stats.learned_relations = report.relations_learned
-            self.stats.learn_time = time.perf_counter() - learn_start
-            self._learn_bcp = self.engine.bcp_time
-            self._learn_icp = self.engine.icp_time
-            if self._trace is not None:
-                self._trace.event(
-                    "learn_done",
-                    dl=0,
-                    relations=report.relations_learned,
-                    probes=report.probes,
-                    seconds=self.stats.learn_time,
-                )
-            if report.root_conflict:
+        if not self.persistent:
+            # One-shot order: learning, then the level-0 fixpoint, then
+            # the assumptions at level 0 (``_apply_assumptions``).
+            self.learn(deadline=self._deadline)
+            self.stats.learned_relations = self.relations_learned
+            self.stats.learn_time = self.learn_seconds
+            self._search_bcp = self.engine.bcp_time
+            self._search_icp = self.engine.icp_time
+            if self.root_conflict:
                 self.stats.solve_time = time.perf_counter() - start
                 return self._finish(Status.UNSAT)
 
-        if prof is not None:
-            with prof.phase("search"):
+        if self._prof is not None:
+            with self._prof.phase("search"):
                 return self._search(assumptions, start)
         return self._search(assumptions, start)
 
-    def _run_learning(self, candidates=None, deadline=None):
-        """Section 3 pass over ``candidates`` (default: every predicate
-        candidate of the circuit), one-shot and session alike."""
-        from repro.core.predlearn import ProbeWindows, run_predicate_learning
+    def learn(
+        self, candidates=None, deadline: Optional[float] = None
+    ) -> LearnReport:
+        """Section 3 predicate learning over ``candidates`` (default:
+        every predicate candidate of the circuit), one-shot and session
+        alike; a no-op when ``predicate_learning`` is off or level 0 is
+        already refuted.
 
+        ``deadline`` is a ``time.perf_counter()`` instant threaded into
+        the probes' cooperative budget: a serve request that triggers a
+        cold session warm-up still honours its own deadline.  The pass
+        runs as the ``learn`` profile phase (with its BCP/ICP split),
+        adds to the lifetime relation and seconds counters, emits one
+        ``learn_done`` event and records a root conflict.
+        """
+        if not self.config.predicate_learning or self.root_conflict:
+            return LearnReport()
         if self._windows is None:
             self._windows = ProbeWindows(self.system.propagators)
-        return run_predicate_learning(
-            self.system,
-            self.store,
-            self.engine,
-            self.order,
-            threshold=self.config.learning_threshold,
-            deadline=deadline,
-            phase_hints=self.config.learned_phase_hints,
-            tracer=self._trace,
-            candidates=candidates,
-            windows=self._windows,
-        )
+        prof = self._prof
+        start = time.perf_counter()
+        bcp, icp = self.engine.bcp_time, self.engine.icp_time
+        with prof.phase("learn") if prof is not None else nullcontext():
+            report = run_predicate_learning(
+                self.system,
+                self.store,
+                self.engine,
+                self.order,
+                threshold=self.config.learning_threshold,
+                deadline=deadline,
+                phase_hints=self.config.learned_phase_hints,
+                tracer=self._trace,
+                candidates=candidates,
+                windows=self._windows,
+            )
+        seconds = time.perf_counter() - start
+        self.learn_seconds += seconds
+        self.relations_learned += report.relations_learned
+        if prof is not None:
+            bcp = self.engine.bcp_time - bcp
+            icp = self.engine.icp_time - icp
+            if bcp or icp:
+                prof.add("learn/bcp", bcp)
+                prof.add("learn/icp", icp)
+        if self._trace is not None:
+            self._trace.event(
+                "learn_done",
+                dl=0,
+                relations=report.relations_learned,
+                probes=report.probes,
+                seconds=seconds,
+            )
+        if report.root_conflict:
+            self.root_conflict = True
+        return report
 
     def _search(
         self, assumptions: Mapping[str, AssumptionValue], start: float
     ) -> SolverResult:
         if self.persistent:
-            conflict = self._saturate_level0()
-            if conflict is not None:
-                self.stats.solve_time = (
-                    time.perf_counter() - start - self.stats.learn_time
-                )
-                return self._finish(Status.UNSAT)
             self._assumption_plan = [
                 (
                     self.system.var_by_name(name),
@@ -356,13 +442,7 @@ class HdpllSolver:
                 )
                 for name, value in assumptions.items()
             ]
-            result = self._search_loop(assumptions)
-            self.stats.solve_time = (
-                time.perf_counter() - start - self.stats.learn_time
-            )
-            return result
-        conflict = self._apply_assumptions(assumptions)
-        if conflict is not None:
+        elif self._apply_assumptions(assumptions) is not None:
             self.stats.solve_time = (
                 time.perf_counter() - start - self.stats.learn_time
             )
@@ -403,6 +483,56 @@ class HdpllSolver:
     # ------------------------------------------------------------------
     # Persistent-session support
     # ------------------------------------------------------------------
+    def extend(self, nodes) -> CompiledExtension:
+        """Compile appended circuit nodes into the live system and reach
+        the new level-0 fixpoint (the frame-extension path).
+
+        New variables join the store at their initial domains and the
+        name table, new propagators are registered and scheduled, and
+        Boolean net variables join the decision order.  Only the new
+        propagators are scheduled, and they reach the whole fixpoint;
+        a refutation sets :attr:`root_conflict`.
+        """
+        if self.store.decision_level != 0:
+            raise SolverError("extension is only legal at level 0")
+        nodes = list(nodes)
+        extension = extend_compiled(
+            self.system,
+            nodes,
+            mux_select_implication=self.config.mux_select_implication,
+        )
+        self.store.add_variables(extension.variables)
+        self.engine.extend(extension.propagators)
+        if self._windows is not None:
+            self._windows.extend(extension.propagators)
+        self.order.add_candidates(self.system, extension.variables)
+        if self._structural is not None:
+            self._structural.extend(nodes)
+        self.var_by_name.update(
+            (var.name, var) for var in extension.variables
+        )
+        self._saturate_level0()
+        return extension
+
+    def add_clause(self, clause: Clause) -> bool:
+        """Install ``clause`` at level 0 and propagate it.
+
+        Returns False, and sets :attr:`root_conflict`, when the clause
+        refutes level 0; the clause stays in the database either way.
+        """
+        conflict = self.engine.add_clause(clause)
+        if conflict is None:
+            conflict = self.engine.propagate()
+        if conflict is not None:
+            self.root_conflict = True
+        return conflict is None
+
+    def _stamp(self, stats: SolverStats) -> None:
+        """Fold the lifetime counters into a persistent query's stats."""
+        stats.session_solves = self.session_solves
+        stats.learned_relations = self.relations_learned
+        stats.learn_time = self.learn_seconds
+
     def _begin_persistent_solve(self) -> None:
         """Per-query reset: fresh stats, delta marks, budget, search state."""
         if self.store.decision_level != 0:
@@ -421,58 +551,25 @@ class HdpllSolver:
             "narrowings": self.store.narrowings,
         }
         # Engine clock snapshot so profiler attribution stays per-query;
-        # session-level learning accounts for its own propagation time.
-        self._learn_bcp = self.engine.bcp_time
-        self._learn_icp = self.engine.icp_time
+        # session learning accounts for its own propagation time.
+        self._search_bcp = self.engine.bcp_time
+        self._search_icp = self.engine.icp_time
         self._early_leaf_pending = True
         self._decision_kind = "activity"
         self._deadline = None
 
-    def _saturate_level0(self) -> Optional[Conflict]:
-        """Bring level 0 to the circuit fixpoint after creation/extension.
+    def _saturate_level0(self) -> None:
+        """Bring level 0 to the circuit fixpoint after creation or
+        extension and take the structural-decision baseline there.
 
-        Propagates only what is scheduled: ``SolverSession`` schedules
-        every propagator before the first pass, and ``engine.extend``
-        schedules an extension's own propagators.
+        Propagates only what is scheduled: the constructor schedules
+        every propagator, ``engine.extend`` an extension's own.  A
+        refutation sets :attr:`root_conflict`.
         """
-        if not self._pending_saturation:
-            return None
-        conflict = self._propagate()
-        if conflict is not None:
-            return conflict
-        self._pending_saturation = False
-        if self._structural is not None:
+        if self._propagate() is not None:
+            self.root_conflict = True
+        elif self._structural is not None:
             self._structural.snapshot_baseline()
-        return None
-
-    def extend_system(self, nodes) -> CompiledExtension:
-        """Compile appended circuit nodes into the live constraint system.
-
-        The frame-extension path: new variables join the store at their
-        initial domains, new propagators are registered and scheduled,
-        Boolean net variables join the decision order.  The level-0
-        fixpoint and the structural-decision baseline are refreshed by
-        :meth:`_saturate_level0`, which propagates only what is
-        scheduled, so it must run before anything else propagates or
-        backtracks (``SolverSession.extend`` calls it at once).
-        """
-        if self.store.decision_level != 0:
-            raise SolverError("extension is only legal at level 0")
-        nodes = list(nodes)
-        extension = extend_compiled(
-            self.system,
-            nodes,
-            mux_select_implication=self.config.mux_select_implication,
-        )
-        self.store.add_variables(extension.variables)
-        self.engine.extend(extension.propagators)
-        if self._windows is not None:
-            self._windows.extend(extension.propagators)
-        self.order.add_candidates(self.system, extension.variables)
-        if self._structural is not None:
-            self._structural.extend(nodes)
-        self._pending_saturation = True
-        return extension
 
     def _assert_assumption_prefix(self):
         """Assert pending assumptions, one retractable level each.
@@ -959,28 +1056,20 @@ class HdpllSolver:
 
     def _budget_note(self) -> str:
         if self._deadline is not None and time.perf_counter() > self._deadline:
-            return f"timeout after {self.config.timeout}s"
+            return f"timeout after {self._timeout}s"
         return f"conflict budget {self.config.max_conflicts} exhausted"
 
     def _attribute_engine_phases(self) -> None:
-        """Fold the engine's BCP/ICP clocks into the phase hierarchy.
-
-        Propagation driven by predicate-learning probes ran before the
-        search phase; the snapshot taken at the end of learning splits
-        the engine totals between ``learn/*`` and ``search/propagate/*``.
-        """
+        """Fold the engine's BCP/ICP clocks since this search began into
+        ``search/propagate/*`` (:meth:`learn` books its own share under
+        ``learn/*``)."""
         prof = self._prof
         assert prof is not None
-        if not self.persistent and (self._learn_bcp or self._learn_icp):
-            # In persistent mode the marks are per-query engine-clock
-            # snapshots, not learning time (sessions learn externally).
-            prof.add("learn/bcp", self._learn_bcp)
-            prof.add("learn/icp", self._learn_icp)
         prof.add(
-            "search/propagate/bcp", self.engine.bcp_time - self._learn_bcp
+            "search/propagate/bcp", self.engine.bcp_time - self._search_bcp
         )
         prof.add(
-            "search/propagate/icp", self.engine.icp_time - self._learn_icp
+            "search/propagate/icp", self.engine.icp_time - self._search_icp
         )
 
     def _finish(

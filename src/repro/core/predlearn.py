@@ -88,6 +88,15 @@ def shift_name(name: str, delta: int) -> str:
     )
 
 
+def frame_of(name: str) -> Tuple[str, Optional[int]]:
+    """An unrolled net's base name and frame: ``n@3`` -> ``("n", 3)``;
+    a name without a frame tag -> ``(name, None)``."""
+    match = _FRAME_RE.search(name)
+    if match is None:
+        return name, None
+    return name[: match.start()], int(match.group(1))
+
+
 def frame_span(
     names: Iterable[str], skip_untagged: bool = False
 ) -> Optional[Tuple[int, int]]:
@@ -194,7 +203,8 @@ class LearnReport:
     )
 
 
-def _clause_key(literals: Tuple[Literal, ...]) -> Tuple:
+def clause_key(literals: Tuple[Literal, ...]) -> Tuple:
+    """Order-free identity of a clause's literals (dedup key)."""
     return tuple(
         sorted(
             (
@@ -455,7 +465,7 @@ def _install(
     literals: Tuple[Literal, ...],
 ) -> Optional[Conflict]:
     """Add one learned relation; returns a conflict on level-0 refutation."""
-    key = _clause_key(literals)
+    key = clause_key(literals)
     if key in seen:
         return None
     seen.add(key)

@@ -10,8 +10,9 @@ call.  It generates cubes (:mod:`repro.portfolio.cubes`), prepends the
   workers fork from the preloaded fork server (:mod:`repro.procs`)
   and share clauses live, or
 * runs the **deterministic in-process mode**: the same diversified
-  configurations as sequential :class:`SolverSession`\\ s with clause
-  sharing between cube solves — bit-for-bit reproducible, used by the
+  configurations as sequential persistent
+  :class:`~repro.core.hdpll.HdpllSolver`\\ s with clause sharing
+  between cube solves — bit-for-bit reproducible, used by the
   tests and as the automatic fallback when the problem cannot be
   described by a picklable :class:`ProblemSpec` or when the current
   process is itself a daemonic pool worker (which may not start
@@ -34,8 +35,8 @@ import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import SolverConfig
+from repro.core.hdpll import HdpllSolver
 from repro.core.result import SolverResult, SolverStats, Status
-from repro.core.session import SolverSession
 from repro.errors import SolverError
 from repro.intervals import Interval
 from repro.obs import Observation
@@ -120,18 +121,17 @@ def _solve_inline(
         return max(0.0, deadline - time.monotonic())
 
     batches: List[Tuple[int, list]] = []
-    sessions: Dict[int, Tuple[SolverSession, ClauseExporter, ClauseImporter]] = {}
+    sessions: Dict[int, Tuple[HdpllSolver, ClauseExporter, ClauseImporter]] = {}
 
     def get_worker(index: int):
         if index not in sessions:
             config = worker_config(base_config, index)
-            session = SolverSession(circuit, config)
-            if config.predicate_learning and not session.root_conflict:
-                session.learn(None)
+            session = HdpllSolver(circuit, config, persistent=True)
+            session.learn()
             exporter = ClauseExporter(
                 sink=lambda batch, i=index: batches.append((i, batch))
             )
-            importer = ClauseImporter(session._var_by_name)
+            importer = ClauseImporter(session.var_by_name)
             cursor = [0]
 
             def receive(i=index, cursor=cursor):
@@ -143,7 +143,7 @@ def _solve_inline(
                         fresh.append(batch)
                 return fresh
 
-            session.solver.share = ShareChannel(
+            session.share = ShareChannel(
                 exporter, importer, receive=receive
             )
             sessions[index] = (session, exporter, importer)

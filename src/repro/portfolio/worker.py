@@ -5,7 +5,7 @@ deeply recursive object graphs that pickle badly — they receive a tiny
 :class:`ProblemSpec` and rebuild the problem from the ITC99 registry
 (exactly like the crash-isolated task pool in
 :mod:`repro.harness.parallel`).  Each worker owns one persistent
-:class:`~repro.core.session.SolverSession` configured by the
+:class:`~repro.core.hdpll.HdpllSolver` configured by the
 diversification rotation, solves cube after cube against it (cube
 assumptions ride on the session's retractable assumption levels, so
 learned clauses survive from cube to cube), and exchanges learned
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.config import SolverConfig
-from repro.core.session import SolverSession
+from repro.core.hdpll import HdpllSolver
 from repro.intervals import Interval, reset_interval_cache
 from repro.portfolio.diversify import worker_config
 from repro.portfolio.share import (
@@ -273,9 +273,8 @@ def _worker_body(
         circuit = optimize(circuit)
     config = worker_config(spec.base_config, spec.worker_index)
     observation = telemetry.observation() if telemetry is not None else None
-    session = SolverSession(circuit, config, observation=observation)
-    if config.predicate_learning and not session.root_conflict:
-        session.learn(None)
+    session = HdpllSolver(circuit, config, observation, persistent=True)
+    session.learn()
 
     emitter = telemetry.emitter if telemetry is not None else None
 
@@ -293,9 +292,9 @@ def _worker_body(
         conn.send(("clauses", spec.worker_index, batch))
 
     exporter = ClauseExporter(sink=send_batch)
-    importer = ClauseImporter(session._var_by_name)
+    importer = ClauseImporter(session.var_by_name)
     channel = _WorkerChannel(conn, exporter, importer, emitter=emitter)
-    session.solver.share = channel
+    session.share = channel
 
     conn.send(("ready", spec.worker_index))
     while True:

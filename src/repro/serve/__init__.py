@@ -1,8 +1,9 @@
 """Solver-as-a-service: daemon, client, load generator, bench cells.
 
-The daemon (`repro-hdpll serve`) keeps compiled :class:`SolverSession`
-objects warm across requests — the paper's cross-call reuse lifted from
-one process's lifetime to a service's.  See ``docs/serving.md``.
+The daemon (`repro-hdpll serve`) keeps compiled sessions (persistent
+:class:`~repro.core.hdpll.HdpllSolver` objects) warm across requests —
+the paper's cross-call reuse lifted from one process's lifetime to a
+service's.  See ``docs/serving.md``.
 """
 
 from repro.serve.cache import SessionCache, SessionEntry

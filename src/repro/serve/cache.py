@@ -1,4 +1,4 @@
-"""Warm :class:`SolverSession` cache for the solver daemon.
+"""Warm persistent-solver session cache for the solver daemon.
 
 Sessions are the daemon's whole value proposition: a compiled
 constraint system plus the learned clauses and predicates accumulated
@@ -35,10 +35,10 @@ import time
 from collections import OrderedDict
 from typing import Awaitable, Callable, Dict, Mapping, Optional
 
-from repro.core.session import SolverSession
+from repro.core.hdpll import HdpllSolver
 
 
-def estimate_session_bytes(session: SolverSession) -> int:
+def estimate_session_bytes(session: HdpllSolver) -> int:
     """Coarse per-session memory estimate for the byte budget.
 
     Deliberately cheap and deliberately rough (a real measurement would
@@ -47,8 +47,8 @@ def estimate_session_bytes(session: SolverSession) -> int:
     watch entries.  The budget only has to rank sessions against each
     other, and both terms scale linearly with the unrolling depth.
     """
-    variables = len(session.solver.system.variables)
-    clauses = len(session.solver.engine.clause_db.clauses)
+    variables = len(session.system.variables)
+    clauses = len(session.engine.clause_db.clauses)
     return 64 * 1024 + 640 * variables + 560 * clauses
 
 
@@ -73,7 +73,7 @@ class SessionEntry:
         key: str,
         case: str,
         bound: int,
-        session: SolverSession,
+        session: HdpllSolver,
         base_assumptions: Mapping[str, object],
         build_seconds: float,
     ):
@@ -206,7 +206,7 @@ class SessionCache:
         core = mid = local = 0
         lbd_weight = 0.0
         for entry in self._entries.values():
-            db = entry.session.solver.engine.clause_db
+            db = entry.session.engine.clause_db
             c, m, l = db.tier_sizes()
             core += c
             mid += m

@@ -40,6 +40,7 @@ from repro.core.result import SolverResult
 from repro.errors import CircuitError, SolverError
 from repro.intervals import Interval
 from repro.serve.cache import SessionCache, SessionEntry
+from repro.serve.loadgen import percentile
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -53,15 +54,6 @@ logger = logging.getLogger(__name__)
 
 #: Latency samples kept for the p50/p99 window (ring buffer).
 _LATENCY_WINDOW = 2048
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted sample list (0 if empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-    return ordered[index]
 
 
 @dataclass
@@ -241,8 +233,8 @@ class SolverServer:
         clause_db = self.cache.clause_db_snapshot()
         self._telemetry.record_metrics(
             {
-                "serve_latency_p50_s": _percentile(self._latencies, 0.50),
-                "serve_latency_p99_s": _percentile(self._latencies, 0.99),
+                "serve_latency_p50_s": percentile(self._latencies, 0.50),
+                "serve_latency_p99_s": percentile(self._latencies, 0.99),
                 "serve_cache_entries": float(len(self.cache)),
                 "serve_cache_bytes": float(self.cache.total_bytes()),
                 # Warm-session learned-clause DB shape (LBD tiers).
@@ -350,8 +342,8 @@ class SolverServer:
                 "ok": True,
                 "counters": dict(self.counters),
                 "latency": {
-                    "p50_s": _percentile(self._latencies, 0.50),
-                    "p99_s": _percentile(self._latencies, 0.99),
+                    "p50_s": percentile(self._latencies, 0.50),
+                    "p99_s": percentile(self._latencies, 0.99),
                     "samples": len(self._latencies),
                 },
                 "cache": self.cache.snapshot(),
@@ -485,7 +477,7 @@ class SolverServer:
         # dedicated session otherwise (never observed with the ITC99
         # registry, but correctness must not rest on that).
         if not all(
-            name in entry.session._var_by_name for name in info.assumptions
+            name in entry.session.var_by_name for name in info.assumptions
         ):
             salted = f"{info.key}:{case}@{bound}"
             info = _ProblemInfo(
@@ -508,21 +500,19 @@ class SolverServer:
         deadline: Optional[float],
     ) -> SessionEntry:
         """Compile a fresh warm session (executor-side heavy lifting)."""
-        from repro.core.session import SolverSession
+        from repro.core.hdpll import HdpllSolver
         from repro.itc99 import instance
 
         def compile_session():
             start = time.perf_counter()
             inst = built if built is not None else instance(case, bound)
-            session = SolverSession(inst.circuit, self.config.solver)
-            if (
-                self.config.solver.predicate_learning
-                and not session.root_conflict
-            ):
-                # The cold-path warm-up honours the triggering request's
-                # deadline: probe learning stops cooperatively and the
-                # session stays usable (just less warmed-up).
-                session.learn(None, deadline=deadline)
+            session = HdpllSolver(
+                inst.circuit, self.config.solver, persistent=True
+            )
+            # The cold-path warm-up honours the triggering request's
+            # deadline: probe learning stops cooperatively and the
+            # session stays usable (just less warmed-up).
+            session.learn(deadline=deadline)
             return session, time.perf_counter() - start
 
         session, build_seconds = await self._run(compile_session)

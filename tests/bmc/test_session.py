@@ -251,13 +251,12 @@ def _check_extension_fixpoint(
     """After every frame extension, scheduling every propagator again
     must add no level-0 event and no conflict: the extension's own
     propagators reached the whole fixpoint."""
-    solver_session = session.session
-    extend = solver_session.extend
+    solver = session.session
+    extend = solver.extend
 
     def checked_extend(nodes):
         extension = extend(nodes)
-        if not solver_session.root_conflict:
-            solver = solver_session.solver
+        if not solver.root_conflict:
             mark = len(solver.store.trail)
             solver.engine.enqueue_all()
             conflict = solver.engine.propagate()
@@ -268,7 +267,7 @@ def _check_extension_fixpoint(
                 )
         return extension
 
-    solver_session.extend = checked_extend
+    solver.extend = checked_extend
 
 
 def _sweep_chunk(seeds: Sequence[int]) -> List[str]:

@@ -10,7 +10,7 @@ from repro.constraints import (
     Variable,
     WordLit,
 )
-from repro.core.conflict import analyze_conflict, decision_cut_clause
+from repro.core.conflict import analyze_conflict
 from repro.intervals import Interval
 
 
@@ -162,18 +162,3 @@ class TestAnalyze:
         analysis = analyze_conflict(conflict, store)
         literals = {(l.var.name, l.positive) for l in analysis.clause.literals}
         assert literals == {("v0", False), ("v1", False)}
-
-
-class TestDecisionCut:
-    def test_no_decisions_returns_none(self):
-        variables, store = make_store(1)
-        store.assign_bool(variables[0], 1, ASSUMPTION)
-        assert decision_cut_clause(store) is None
-
-    def test_all_decisions_negated(self):
-        variables, store = make_store(1, 1, 1)
-        store.decide_bool(variables[0], 1)
-        store.decide_bool(variables[1], 0)
-        clause = decision_cut_clause(store)
-        literals = {(l.var.name, l.positive) for l in clause.literals}
-        assert literals == {("v0", False), ("v1", True)}

@@ -14,7 +14,6 @@ import pytest
 
 from repro.bmc.session import BmcSession
 from repro.core import HDPLL_BASE, HDPLL_S, HDPLL_SP, HdpllSolver
-from repro.core.session import SolverSession
 from repro.intervals import Interval
 from repro.itc99 import CIRCUITS, circuit, instance
 from repro.rtl.levelize import levelize
@@ -183,8 +182,14 @@ def test_random_circuits_match_oracles(seed):
 
 def test_persistent_session_with_learning_between_queries():
     inst = instance("b13_40", 12)
-    session = SolverSession(inst.circuit, HDPLL_S)
-    checker = Checker().attach(session.solver)
+    # Learning switched on for the explicit ``learn`` calls only: a
+    # persistent solver never learns on its own.
+    session = HdpllSolver(
+        inst.circuit,
+        HDPLL_S.with_overrides(predicate_learning=True),
+        persistent=True,
+    )
+    checker = Checker().attach(session)
     candidates = extract_predicates(inst.circuit).learning_candidates
     names = sorted(inst.assumptions)
     statuses = []
@@ -204,7 +209,7 @@ def test_persistent_session_with_learning_between_queries():
 @pytest.mark.parametrize("config", [HDPLL_S, HDPLL_SP])
 def test_bmc_session_extending_frames(config):
     session = BmcSession(circuit("b13"), CIRCUITS["b13"][1]["40"], config)
-    solver = session.session.solver
+    solver = session.session
     checker = Checker().attach(solver)
     decide = solver._structural
     statuses = []

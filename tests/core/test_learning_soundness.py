@@ -122,7 +122,7 @@ def _check_clauses(circuit, clauses):
 def test_one_shot_learned_clauses_hold(impl, label, build):
     circuit = build()
     solver = HdpllSolver(circuit, HDPLL_SP.with_overrides(engine_impl=impl))
-    report = solver._run_learning()
+    report = solver.learn()
     checked, auxiliary = _check_clauses(circuit, report.clauses)
     print(f"{label} [{impl}]: {checked} checked, {auxiliary} auxiliary")
     assert checked + auxiliary == len(report.clauses)
@@ -139,8 +139,8 @@ def test_session_learned_clauses_hold(impl, seed):
     session.extend_to(7)
     clauses = [
         clause
-        for clause in session.session.learned_clauses()
-        if clause.origin.startswith("predicate")
+        for clause in session.session.engine.clause_db.clauses
+        if clause.learned and clause.origin.startswith("predicate")
     ]
     assert clauses
     checked, auxiliary = _check_clauses(session.unroller.unrolled, clauses)

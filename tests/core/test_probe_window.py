@@ -103,7 +103,7 @@ def test_untagged_names_get_no_window():
 def test_windows_grown_with_the_session_equal_a_fresh_build():
     session = BmcSession(circuit("b13"), CIRCUITS["b13"][1]["1"], HDPLL_SP)
     session.extend_to(9)
-    solver = session.session.solver
+    solver = session.session
     fresh = ProbeWindows(solver.system.propagators)
     for frame in range(9):
         var = _var_in_frame(solver.system, frame)
@@ -194,7 +194,7 @@ def test_learning_runs_no_propagator_outside_the_window(impl, monkeypatch):
         return result
 
     monkeypatch.setattr(RecursiveLearner, "probe", spied_probe)
-    report = solver._run_learning()
+    report = solver.learn()
     assert report.relations_learned > 0
     assert outcomes["ok"] > 0
     assert spy.ran > 0

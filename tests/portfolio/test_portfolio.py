@@ -23,7 +23,7 @@ import pytest
 
 from repro import procs
 from repro.bmc import input_trace_from_model, make_bmc_instance
-from repro.core import SolverConfig, SolverSession, Status, solve_circuit
+from repro.core import HdpllSolver, SolverConfig, Status, solve_circuit
 from repro.core.hdpll import HdpllSolver, luby
 from repro.dist.hub import CubeHub
 from repro.dist.run import run_hosts
@@ -475,7 +475,10 @@ def _leaf_bound_session():
     Luby restarts, no learning): the whole query, the root cube, sits
     in one FME leaf check that runs for many seconds."""
     circuit, assumptions = build_problem(ProblemSpec("instance", "b01_1", 50))
-    return SolverSession(circuit, worker_config(SolverConfig(), 1)), assumptions
+    session = HdpllSolver(
+        circuit, worker_config(SolverConfig(), 1), persistent=True
+    )
+    return session, assumptions
 
 
 def test_leaf_check_ends_at_the_solve_deadline():
@@ -510,12 +513,12 @@ class _CancelInLeafCheck:
 def test_cube_cancel_ends_a_leaf_check_and_the_session_lives_on():
     session, assumptions = _leaf_bound_session()
     channel = _CancelInLeafCheck()
-    session.solver.share = channel
+    session.share = channel
     with pytest.raises(CubeCancelled):
         session.solve(assumptions, timeout=30.0)
     assert channel.drained == 1
-    assert session.solver.store.decision_level == 0
-    session.solver.share = None
+    assert session.store.decision_level == 0
+    session.share = None
     assert session.solve(assumptions, timeout=0.5).status is Status.UNKNOWN
 
 

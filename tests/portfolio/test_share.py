@@ -11,8 +11,7 @@ import pickle
 
 from repro.constraints.clause import BoolLit, Clause, WordLit
 from repro.constraints.store import Conflict
-from repro.core import SolverConfig
-from repro.core.session import SolverSession
+from repro.core import HdpllSolver, SolverConfig
 from repro.intervals import Interval
 from repro.portfolio import (
     ClauseExporter,
@@ -36,12 +35,12 @@ def _circuit():
     return b.build()
 
 
-def _session() -> SolverSession:
-    return SolverSession(_circuit(), SolverConfig())
+def _session() -> HdpllSolver:
+    return HdpllSolver(_circuit(), SolverConfig(), persistent=True)
 
 
 def _clause(session, lbd=2) -> Clause:
-    names = session._var_by_name
+    names = session.var_by_name
     clause = Clause(
         literals=(
             BoolLit(names["a"], positive=True),
@@ -68,14 +67,14 @@ def test_round_trip_across_compiles():
     # The payload crosses a process boundary in production; a pickle
     # round trip proves it is plain picklable data.
     payload = pickle.loads(pickle.dumps(payload))
-    rebuilt = deserialize_clause(payload, receiver._var_by_name)
+    rebuilt = deserialize_clause(payload, receiver.var_by_name)
     assert rebuilt is not None
     assert rebuilt.learned and rebuilt.origin == "shared"
     assert rebuilt.lbd == 3
     bool_lit, word_lit = rebuilt.literals
-    assert bool_lit.var is receiver._var_by_name["a"]
+    assert bool_lit.var is receiver.var_by_name["a"]
     assert bool_lit.positive
-    assert word_lit.var is receiver._var_by_name["w"]
+    assert word_lit.var is receiver.var_by_name["w"]
     assert word_lit.interval == Interval.make(0, 7)
     assert word_lit.positive
 
@@ -84,8 +83,8 @@ def test_unresolvable_name_is_rejected():
     sender, receiver = _session(), _session()
     payload = serialize_clause(_clause(sender))
     mangled = ((("b", "no-such-net", True),) + payload[0][1:], payload[1])
-    assert deserialize_clause(mangled, receiver._var_by_name) is None
-    importer = ClauseImporter(receiver._var_by_name)
+    assert deserialize_clause(mangled, receiver.var_by_name) is None
+    importer = ClauseImporter(receiver.var_by_name)
     assert importer.accept([mangled]) == []
     assert importer.rejected == 1 and importer.installed == 0
 
@@ -112,10 +111,10 @@ def test_payload_key_is_order_insensitive():
 def test_import_installs_and_watches():
     sender, receiver = _session(), _session()
     payload = serialize_clause(_clause(sender))
-    importer = ClauseImporter(receiver._var_by_name)
+    importer = ClauseImporter(receiver.var_by_name)
     (clause,) = importer.accept([payload])
-    db = receiver.solver.engine.clause_db
-    assert receiver.solver.engine.add_clause(clause) is None
+    db = receiver.engine.clause_db
+    assert receiver.engine.add_clause(clause) is None
     assert clause in db.clauses
     # Both watch positions registered on the watched variables' lists.
     positions = db._watch_positions[id(clause)]
@@ -137,7 +136,7 @@ def test_duplicate_payloads_rejected_once_installed():
             origin="conflict",
         )
     )
-    importer = ClauseImporter(receiver._var_by_name)
+    importer = ClauseImporter(receiver.var_by_name)
     assert len(importer.accept([payload])) == 1
     # Same clause again — even with the literals reordered — is a dup.
     assert importer.accept([payload, reordered]) == []
@@ -149,40 +148,40 @@ def test_duplicate_payloads_rejected_once_installed():
 
 def test_import_already_satisfied_clause():
     sender, receiver = _session(), _session()
-    store = receiver.solver.store
-    store.assume(receiver._var_by_name["a"], Interval.point(1))
+    store = receiver.store
+    store.assume(receiver.var_by_name["a"], Interval.point(1))
     payload = serialize_clause(_clause(sender))
-    importer = ClauseImporter(receiver._var_by_name)
+    importer = ClauseImporter(receiver.var_by_name)
     (clause,) = importer.accept([payload])
     # a=1 satisfies the Boolean literal: installs quietly, no narrowing
     # of the word variable.
-    assert receiver.solver.engine.add_clause(clause) is None
-    assert store.domain(receiver._var_by_name["w"]) == Interval.make(0, 15)
-    assert clause in receiver.solver.engine.clause_db.clauses
+    assert receiver.engine.add_clause(clause) is None
+    assert store.domain(receiver.var_by_name["w"]) == Interval.make(0, 15)
+    assert clause in receiver.engine.clause_db.clauses
 
 
 def test_import_unit_clause_propagates():
     sender, receiver = _session(), _session()
-    store = receiver.solver.store
-    store.assume(receiver._var_by_name["a"], Interval.point(0))
+    store = receiver.store
+    store.assume(receiver.var_by_name["a"], Interval.point(0))
     payload = serialize_clause(_clause(sender))
-    importer = ClauseImporter(receiver._var_by_name)
+    importer = ClauseImporter(receiver.var_by_name)
     (clause,) = importer.accept([payload])
     # a=0 falsifies the Boolean literal, so the word literal is unit and
     # installation immediately narrows w to <0, 7>.
-    assert receiver.solver.engine.add_clause(clause) is None
-    assert store.domain(receiver._var_by_name["w"]) == Interval.make(0, 7)
+    assert receiver.engine.add_clause(clause) is None
+    assert store.domain(receiver.var_by_name["w"]) == Interval.make(0, 7)
 
 
 def test_import_falsified_clause_conflicts():
     sender, receiver = _session(), _session()
-    store = receiver.solver.store
-    store.assume(receiver._var_by_name["a"], Interval.point(0))
-    store.assume(receiver._var_by_name["w"], Interval.make(10, 12))
+    store = receiver.store
+    store.assume(receiver.var_by_name["a"], Interval.point(0))
+    store.assume(receiver.var_by_name["w"], Interval.make(10, 12))
     payload = serialize_clause(_clause(sender))
-    importer = ClauseImporter(receiver._var_by_name)
+    importer = ClauseImporter(receiver.var_by_name)
     (clause,) = importer.accept([payload])
-    outcome = receiver.solver.engine.add_clause(clause)
+    outcome = receiver.engine.add_clause(clause)
     assert isinstance(outcome, Conflict)
 
 
@@ -193,7 +192,7 @@ def test_import_falsified_clause_conflicts():
 
 def test_exporter_caps_and_cube_filter():
     session = _session()
-    names = session._var_by_name
+    names = session.var_by_name
     batches = []
     exporter = ClauseExporter(
         batches.append, max_size=3, max_lbd=3, flush_threshold=2
@@ -252,7 +251,7 @@ def test_share_channel_polls_receive_then_drains():
 
     channel = ShareChannel(
         ClauseExporter(lambda batch: None),
-        ClauseImporter(session._var_by_name),
+        ClauseImporter(session.var_by_name),
         receive=receive,
     )
     (clause,) = channel.poll()
@@ -269,7 +268,7 @@ def test_dynamic_glue_threshold_retunes_both_directions():
     )
 
     session = _session()
-    names = session._var_by_name
+    names = session.var_by_name
     exporter = ClauseExporter(lambda batch: None, flush_threshold=10_000)
     assert exporter.glue_threshold == DEFAULT_GLUE_START
 

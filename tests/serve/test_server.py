@@ -265,15 +265,14 @@ def test_solver_side_timeout_is_not_sticky_across_requests():
 
 
 def _tiny_session():
-    from repro.core import SolverConfig
-    from repro.core.session import SolverSession
+    from repro.core import HdpllSolver, SolverConfig
     from repro.rtl import CircuitBuilder
 
     builder = CircuitBuilder("serve-cache-test")
     a = builder.input("a", 1)
     b = builder.input("b", 1)
     builder.output("o", builder.and_(a, b))
-    return SolverSession(builder.build(), SolverConfig())
+    return HdpllSolver(builder.build(), SolverConfig(), persistent=True)
 
 
 def _entry(key: str, session) -> SessionEntry:

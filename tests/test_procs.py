@@ -62,12 +62,14 @@ def _build_learn_and_solve(conn):
     modules = set(sys.modules)
     compile_mod = sys.modules.get("repro.constraints.compile")
     families = set(getattr(compile_mod, "_KERNEL_FACTORIES", ()))
-    from repro.core import SolverConfig, SolverSession
+    from repro.core import HdpllSolver, SolverConfig
     from repro.portfolio import ProblemSpec, build_problem, worker_config
 
     circuit, assumptions = build_problem(ProblemSpec("instance", "b13_1", 20))
-    session = SolverSession(circuit, worker_config(SolverConfig(), 4))
-    session.learn(None)
+    session = HdpllSolver(
+        circuit, worker_config(SolverConfig(), 4), persistent=True
+    )
+    session.learn()
     status = session.solve(assumptions).status.value
     compile_mod = sys.modules["repro.constraints.compile"]
     conn.send(
